@@ -1,7 +1,9 @@
 #include "obs/span.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
+#include <string_view>
 
 #include "util/json.h"
 #include "util/strings.h"
@@ -394,46 +396,151 @@ SpanRecorder::takeSpans()
 
 namespace {
 
-/** Emit a stamp into @p obj (microseconds) only when it is set, so
- *  partial attempt timelines serialize without sentinel noise. */
-void
-putStamp(json::Object &obj, const char *key, SimTime stamp)
+// The exporters stream through json::Writer, which requires ascending
+// keys (Value::dump()'s member order): members go alphabetically.
+
+std::int64_t
+i64(std::uint64_t v)
 {
-    if (stamp != kNoTime)
-        obj[key] = json::Value(toMicros(stamp));
+    return static_cast<std::int64_t>(v);
 }
 
-json::Value
-attemptToJson(const AttemptSpan &a)
+/** Write a stamp member (microseconds) only when it is set, so partial
+ *  attempt timelines serialize without sentinel noise. */
+void
+stampMember(json::Writer &w, std::string_view key, SimTime stamp)
 {
-    json::Object at;
-    at["seq"] = json::Value(static_cast<std::int64_t>(a.seqId));
-    at["attempt"] = json::Value(static_cast<std::int64_t>(a.attempt));
-    at["cause"] = json::Value(attemptCauseName(a.cause));
-    at["hedged"] = json::Value(a.hedged);
-    at["won"] = json::Value(a.won);
-    at["lb_dropped"] = json::Value(a.lbDropped);
-    at["backend"] =
-        json::Value(static_cast<std::int64_t>(a.backendId));
-    at["lb_failovers"] =
-        json::Value(static_cast<std::int64_t>(a.lbFailovers));
-    putStamp(at, "trigger_us", a.triggerAt);
-    putStamp(at, "client_send_us", a.clientSend);
-    putStamp(at, "timeout_us", a.timeoutAt);
-    putStamp(at, "nic_arrival_us", a.nicArrival);
-    putStamp(at, "worker_start_us", a.workerStart);
-    putStamp(at, "lb_arrival_us", a.lbArrival);
-    putStamp(at, "lb_dispatch_us", a.lbDispatch);
-    putStamp(at, "backend_nic_arrival_us", a.backendNicArrival);
-    putStamp(at, "backend_worker_start_us", a.backendWorkerStart);
-    putStamp(at, "backend_worker_end_us", a.backendWorkerEnd);
-    putStamp(at, "backend_nic_departure_us", a.backendNicDeparture);
-    putStamp(at, "router_return_us", a.routerReturn);
-    putStamp(at, "worker_end_us", a.workerEnd);
-    putStamp(at, "nic_departure_us", a.nicDeparture);
-    putStamp(at, "client_nic_arrival_us", a.clientNicArrival);
-    putStamp(at, "client_receive_us", a.clientReceive);
-    return json::Value(std::move(at));
+    if (stamp != kNoTime)
+        w.member(key, toMicros(stamp));
+}
+
+void
+writeAttempt(json::Writer &w, const AttemptSpan &a)
+{
+    w.beginObject()
+        .member("attempt", i64(a.attempt))
+        .member("backend", std::int64_t{a.backendId});
+    stampMember(w, "backend_nic_arrival_us", a.backendNicArrival);
+    stampMember(w, "backend_nic_departure_us", a.backendNicDeparture);
+    stampMember(w, "backend_worker_end_us", a.backendWorkerEnd);
+    stampMember(w, "backend_worker_start_us", a.backendWorkerStart);
+    w.member("cause", attemptCauseName(a.cause));
+    stampMember(w, "client_nic_arrival_us", a.clientNicArrival);
+    stampMember(w, "client_receive_us", a.clientReceive);
+    stampMember(w, "client_send_us", a.clientSend);
+    w.member("hedged", a.hedged);
+    stampMember(w, "lb_arrival_us", a.lbArrival);
+    stampMember(w, "lb_dispatch_us", a.lbDispatch);
+    w.member("lb_dropped", a.lbDropped)
+        .member("lb_failovers", i64(a.lbFailovers));
+    stampMember(w, "nic_arrival_us", a.nicArrival);
+    stampMember(w, "nic_departure_us", a.nicDeparture);
+    stampMember(w, "router_return_us", a.routerReturn);
+    w.member("seq", i64(a.seqId));
+    stampMember(w, "timeout_us", a.timeoutAt);
+    stampMember(w, "trigger_us", a.triggerAt);
+    w.member("won", a.won);
+    stampMember(w, "worker_end_us", a.workerEnd);
+    stampMember(w, "worker_start_us", a.workerStart);
+    w.endObject();
+}
+
+void
+writeOtherData(json::Writer &w, const char *schema)
+{
+    w.key("otherData")
+        .beginObject()
+        .member("schema", schema)
+        .member("tool", "treadmill")
+        .endObject();
+}
+
+/** A "process_name"/"thread_name" metadata event. */
+void
+writeNameMeta(json::Writer &w, const char *kind, std::int64_t pid,
+              std::optional<std::int64_t> tid, std::string_view label)
+{
+    w.beginObject()
+        .key("args")
+        .beginObject()
+        .member("name", label)
+        .endObject()
+        .member("name", kind)
+        .member("ph", "M")
+        .member("pid", pid);
+    if (tid)
+        w.member("tid", *tid);
+    w.endObject();
+}
+
+/** Tile one attempt's lane with every consecutive stamped hop. */
+void
+writeAttemptLane(json::Writer &w, const SpanTrace &s,
+                 const AttemptSpan &a)
+{
+    const auto &names = segmentKindNames();
+    // Which path a hop belongs to: the classic path renders
+    // workerStart->workerEnd as one "service" hop; the cluster path
+    // splits that interval via the lb/fabric/backend stamps instead.
+    enum class Path : std::uint8_t { Any, Cluster, Classic };
+    struct Hop {
+        SimTime begin, end;
+        SegmentKind kind;
+        Path path;
+    };
+    const bool cluster = a.lbArrival != kNoTime;
+    const Hop hops[] = {
+        {a.triggerAt, a.clientSend, SegmentKind::ClientQueue, Path::Any},
+        {a.clientSend, a.nicArrival, SegmentKind::NetRequest, Path::Any},
+        {a.nicArrival, a.workerStart,
+         cluster ? SegmentKind::RouterQueue : SegmentKind::ServerQueue,
+         Path::Any},
+        {a.workerStart, a.lbArrival, SegmentKind::RouterService,
+         Path::Cluster},
+        {a.lbArrival, a.lbDispatch, SegmentKind::LbQueue, Path::Cluster},
+        {a.lbDispatch, a.backendNicArrival, SegmentKind::FabricRequest,
+         Path::Cluster},
+        {a.backendNicArrival, a.backendWorkerStart,
+         SegmentKind::BackendQueue, Path::Cluster},
+        {a.backendWorkerStart, a.backendWorkerEnd,
+         SegmentKind::BackendService, Path::Cluster},
+        {a.backendWorkerEnd, a.backendNicDeparture,
+         SegmentKind::BackendNic, Path::Cluster},
+        {a.backendNicDeparture, a.routerReturn,
+         SegmentKind::FabricResponse, Path::Cluster},
+        {a.routerReturn, a.workerEnd, SegmentKind::RouterEgress,
+         Path::Cluster},
+        {a.workerStart, a.workerEnd, SegmentKind::Service, Path::Classic},
+        {a.workerEnd, a.nicDeparture, SegmentKind::ServerNic, Path::Any},
+        {a.nicDeparture, a.clientNicArrival, SegmentKind::NetResponse,
+         Path::Any},
+        {a.clientNicArrival, a.clientReceive, SegmentKind::ClientDeliver,
+         Path::Any},
+    };
+    for (const Hop &hop : hops) {
+        if (hop.path != Path::Any && (hop.path == Path::Cluster) != cluster)
+            continue;
+        if (hop.begin == kNoTime || hop.end == kNoTime ||
+            hop.end < hop.begin)
+            continue;
+        w.beginObject().key("args").beginObject().member(
+            "attempt", i64(a.attempt));
+        if (a.backendId >= 0)
+            w.member("backend", std::int64_t{a.backendId});
+        w.member("cause", attemptCauseName(a.cause))
+            .member("logical", i64(s.logicalSeqId))
+            .member("won", a.won)
+            .endObject()
+            .member("cat", "attempt")
+            .member("dur", toMicros(hop.end - hop.begin))
+            .member("name",
+                    names[static_cast<std::size_t>(hop.kind)])
+            .member("ph", "X")
+            .member("pid", i64(s.clientIndex))
+            .member("tid", i64(a.seqId))
+            .member("ts", toMicros(hop.begin))
+            .endObject();
+    }
 }
 
 } // namespace
@@ -441,212 +548,80 @@ attemptToJson(const AttemptSpan &a)
 std::string
 spanJson(const std::vector<SpanTrace> &spans)
 {
-    json::Array rows;
+    std::string out;
+    json::Writer w(out);
+    w.beginObject();
+    writeOtherData(w, "span/1");
+    w.key("spans").beginArray();
     for (const SpanTrace &s : spans) {
-        json::Object row;
-        row["logical"] =
-            json::Value(static_cast<std::int64_t>(s.logicalSeqId));
-        row["client"] =
-            json::Value(static_cast<std::int64_t>(s.clientIndex));
-        row["conn"] =
-            json::Value(static_cast<std::int64_t>(s.connectionId));
-        row["op"] = json::Value(s.isGet ? "get" : "set");
-        row["hit"] = json::Value(s.hit);
-        putStamp(row, "intended_send_us", s.intendedSend);
-        putStamp(row, "client_receive_us", s.clientReceive);
-        row["attempt_count"] =
-            json::Value(static_cast<std::int64_t>(s.attemptCount));
-        row["winner"] =
-            json::Value(static_cast<std::int64_t>(s.winner));
-        json::Array attempts;
+        w.beginObject()
+            .member("attempt_count", i64(s.attemptCount))
+            .key("attempts")
+            .beginArray();
         for (std::uint32_t i = 0; i < s.stored; ++i)
-            attempts.push_back(attemptToJson(s.attempts[i]));
-        row["attempts"] = json::Value(std::move(attempts));
-        rows.push_back(json::Value(std::move(row)));
+            writeAttempt(w, s.attempts[i]);
+        w.endArray().member("client", i64(s.clientIndex));
+        stampMember(w, "client_receive_us", s.clientReceive);
+        w.member("conn", i64(s.connectionId)).member("hit", s.hit);
+        stampMember(w, "intended_send_us", s.intendedSend);
+        w.member("logical", i64(s.logicalSeqId))
+            .member("op", s.isGet ? "get" : "set")
+            .member("winner", std::int64_t{s.winner})
+            .endObject();
     }
-    json::Object doc;
-    doc["spans"] = json::Value(std::move(rows));
-    json::Object other;
-    other["tool"] = json::Value("treadmill");
-    other["schema"] = json::Value("span/1");
-    doc["otherData"] = json::Value(std::move(other));
-    return json::Value(std::move(doc)).dump();
+    w.endArray().endObject();
+    return out;
 }
-
-namespace {
-
-/** One "X" event on an attempt's lane. */
-json::Value
-attemptHopEvent(const SpanTrace &s, const AttemptSpan &a,
-                const std::string &name, SimTime begin, SimTime end)
-{
-    json::Object ev;
-    ev["name"] = json::Value(name);
-    ev["cat"] = json::Value("attempt");
-    ev["ph"] = json::Value("X");
-    ev["ts"] = json::Value(toMicros(begin));
-    ev["dur"] = json::Value(toMicros(end - begin));
-    ev["pid"] = json::Value(static_cast<std::int64_t>(s.clientIndex));
-    ev["tid"] = json::Value(static_cast<std::int64_t>(a.seqId));
-    json::Object args;
-    args["logical"] =
-        json::Value(static_cast<std::int64_t>(s.logicalSeqId));
-    args["attempt"] =
-        json::Value(static_cast<std::int64_t>(a.attempt));
-    args["cause"] = json::Value(attemptCauseName(a.cause));
-    args["won"] = json::Value(a.won);
-    if (a.backendId >= 0)
-        args["backend"] =
-            json::Value(static_cast<std::int64_t>(a.backendId));
-    ev["args"] = json::Value(std::move(args));
-    return json::Value(std::move(ev));
-}
-
-/** Tile one attempt's lane with every consecutive stamped hop. */
-void
-appendAttemptLane(json::Array &events, const SpanTrace &s,
-                  const AttemptSpan &a)
-{
-    const auto &names = segmentKindNames();
-    const auto nameOf = [&names](SegmentKind kind) {
-        return names[static_cast<std::size_t>(kind)];
-    };
-    struct Hop {
-        SimTime begin, end;
-        SegmentKind kind;
-    };
-    const bool cluster = a.lbArrival != kNoTime;
-    const Hop hops[] = {
-        {a.triggerAt, a.clientSend, SegmentKind::ClientQueue},
-        {a.clientSend, a.nicArrival, SegmentKind::NetRequest},
-        {a.nicArrival, a.workerStart,
-         cluster ? SegmentKind::RouterQueue
-                 : SegmentKind::ServerQueue},
-        {a.workerStart, a.lbArrival, SegmentKind::RouterService},
-        {a.lbArrival, a.lbDispatch, SegmentKind::LbQueue},
-        {a.lbDispatch, a.backendNicArrival,
-         SegmentKind::FabricRequest},
-        {a.backendNicArrival, a.backendWorkerStart,
-         SegmentKind::BackendQueue},
-        {a.backendWorkerStart, a.backendWorkerEnd,
-         SegmentKind::BackendService},
-        {a.backendWorkerEnd, a.backendNicDeparture,
-         SegmentKind::BackendNic},
-        {a.backendNicDeparture, a.routerReturn,
-         SegmentKind::FabricResponse},
-        {a.routerReturn, a.workerEnd, SegmentKind::RouterEgress},
-        {a.workerStart, a.workerEnd, SegmentKind::Service},
-        {a.workerEnd, a.nicDeparture, SegmentKind::ServerNic},
-        {a.nicDeparture, a.clientNicArrival,
-         SegmentKind::NetResponse},
-        {a.clientNicArrival, a.clientReceive,
-         SegmentKind::ClientDeliver},
-    };
-    for (const Hop &hop : hops) {
-        // The classic path renders workerStart->workerEnd as one
-        // "service" hop; the cluster path splits that interval via
-        // the lb/fabric/backend stamps instead.
-        if (hop.kind == SegmentKind::Service && cluster)
-            continue;
-        if (cluster &&
-            (hop.kind == SegmentKind::ServerQueue))
-            continue;
-        if (!cluster &&
-            (hop.kind == SegmentKind::RouterService ||
-             hop.kind == SegmentKind::LbQueue ||
-             hop.kind == SegmentKind::FabricRequest ||
-             hop.kind == SegmentKind::BackendQueue ||
-             hop.kind == SegmentKind::BackendService ||
-             hop.kind == SegmentKind::BackendNic ||
-             hop.kind == SegmentKind::FabricResponse ||
-             hop.kind == SegmentKind::RouterEgress))
-            continue;
-        if (hop.begin == kNoTime || hop.end == kNoTime ||
-            hop.end < hop.begin)
-            continue;
-        events.push_back(
-            attemptHopEvent(s, a, nameOf(hop.kind), hop.begin,
-                            hop.end));
-    }
-}
-
-} // namespace
 
 std::string
 chromeSpanJson(const std::vector<SpanTrace> &spans,
                const std::vector<TraceAnnotation> &annotations)
 {
-    json::Array events;
+    std::string out;
+    json::Writer w(out);
+    w.beginObject().member("displayTimeUnit", "ms");
+    writeOtherData(w, "span-lanes/1");
+    w.key("traceEvents").beginArray();
 
     if (!annotations.empty()) {
         const std::int64_t faultPid = -1;
-        json::Object meta;
-        meta["name"] = json::Value("process_name");
-        meta["ph"] = json::Value("M");
-        meta["pid"] = json::Value(faultPid);
-        json::Object metaArgs;
-        metaArgs["name"] = json::Value("faults");
-        meta["args"] = json::Value(std::move(metaArgs));
-        events.push_back(json::Value(std::move(meta)));
-        for (const TraceAnnotation &a : annotations) {
-            json::Object ev;
-            ev["name"] = json::Value(a.name);
-            ev["cat"] = json::Value("fault");
-            ev["ph"] = json::Value("X");
-            ev["ts"] = json::Value(toMicros(a.start));
-            ev["dur"] = json::Value(toMicros(a.end - a.start));
-            ev["pid"] = json::Value(faultPid);
-            ev["tid"] = json::Value(static_cast<std::int64_t>(0));
-            events.push_back(json::Value(std::move(ev)));
-        }
+        writeNameMeta(w, "process_name", faultPid, std::nullopt,
+                      "faults");
+        for (const TraceAnnotation &a : annotations)
+            w.beginObject()
+                .member("cat", "fault")
+                .member("dur", toMicros(a.end - a.start))
+                .member("name", a.name)
+                .member("ph", "X")
+                .member("pid", faultPid)
+                .member("tid", std::int64_t{0})
+                .member("ts", toMicros(a.start))
+                .endObject();
     }
 
     std::set<std::uint64_t> clients;
     for (const SpanTrace &s : spans)
         clients.insert(s.clientIndex);
-    for (std::uint64_t client : clients) {
-        json::Object meta;
-        meta["name"] = json::Value("process_name");
-        meta["ph"] = json::Value("M");
-        meta["pid"] = json::Value(static_cast<std::int64_t>(client));
-        json::Object args;
-        args["name"] = json::Value(
-            strprintf("client %llu",
-                      static_cast<unsigned long long>(client)));
-        meta["args"] = json::Value(std::move(args));
-        events.push_back(json::Value(std::move(meta)));
-    }
+    for (std::uint64_t client : clients)
+        writeNameMeta(w, "process_name", i64(client), std::nullopt,
+                      strprintf("client %llu",
+                                static_cast<unsigned long long>(client)));
 
     for (const SpanTrace &s : spans) {
         for (std::uint32_t i = 0; i < s.stored; ++i) {
             const AttemptSpan &a = s.attempts[i];
-            json::Object meta;
-            meta["name"] = json::Value("thread_name");
-            meta["ph"] = json::Value("M");
-            meta["pid"] =
-                json::Value(static_cast<std::int64_t>(s.clientIndex));
-            meta["tid"] =
-                json::Value(static_cast<std::int64_t>(a.seqId));
-            json::Object args;
-            args["name"] = json::Value(strprintf(
-                "%llu/%s#%u%s",
-                static_cast<unsigned long long>(s.logicalSeqId),
-                attemptCauseName(a.cause), a.attempt,
-                a.won ? " win" : ""));
-            meta["args"] = json::Value(std::move(args));
-            events.push_back(json::Value(std::move(meta)));
-            appendAttemptLane(events, s, a);
+            writeNameMeta(
+                w, "thread_name", i64(s.clientIndex), i64(a.seqId),
+                strprintf("%llu/%s#%u%s",
+                          static_cast<unsigned long long>(s.logicalSeqId),
+                          attemptCauseName(a.cause), a.attempt,
+                          a.won ? " win" : ""));
+            writeAttemptLane(w, s, a);
         }
     }
 
-    json::Object doc;
-    doc["traceEvents"] = json::Value(std::move(events));
-    doc["displayTimeUnit"] = json::Value("ms");
-    json::Object other;
-    other["tool"] = json::Value("treadmill");
-    other["schema"] = json::Value("span-lanes/1");
-    doc["otherData"] = json::Value(std::move(other));
-    return json::Value(std::move(doc)).dump();
+    w.endArray().endObject();
+    return out;
 }
 
 } // namespace obs

@@ -1,9 +1,9 @@
 #include "obs/telemetry.h"
 
+#include <charconv>
 #include <utility>
 
 #include "util/error.h"
-#include "util/strings.h"
 
 namespace treadmill {
 namespace obs {
@@ -57,10 +57,19 @@ telemetryCsv(const TelemetrySeries &series)
         out += probe;
     }
     out += '\n';
+    // to_chars(fixed, 3) is specified as printf's "%.3f".
+    char buf[320]; // Fits %.3f of DBL_MAX (309 integer digits).
+    const auto cell = [&out, &buf](double v) {
+        out.append(buf, std::to_chars(buf, buf + sizeof(buf), v,
+                                      std::chars_format::fixed, 3)
+                            .ptr);
+    };
     for (std::size_t t = 0; t < series.at.size(); ++t) {
-        out += strprintf("%.3f", toMicros(series.at[t]));
-        for (std::size_t p = 0; p < series.values.size(); ++p)
-            out += strprintf(",%.3f", series.values[p][t]);
+        cell(toMicros(series.at[t]));
+        for (std::size_t p = 0; p < series.values.size(); ++p) {
+            out += ',';
+            cell(series.values[p][t]);
+        }
         out += '\n';
     }
     return out;

@@ -1,9 +1,11 @@
 #include "util/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/error.h"
 
@@ -166,7 +168,7 @@ Value::operator==(const Value &other) const
 namespace {
 
 void
-escapeTo(std::string &out, const std::string &s)
+escapeTo(std::string &out, std::string_view s)
 {
     out += '"';
     for (char c : s) {
@@ -194,19 +196,28 @@ escapeTo(std::string &out, const std::string &s)
 void
 numberTo(std::string &out, double n)
 {
-    if (n == static_cast<double>(static_cast<std::int64_t>(n)) &&
-        std::fabs(n) < 1e15) {
-        out += std::to_string(static_cast<std::int64_t>(n));
+    char buf[32];
+    // Integral values print as integers. The range test comes first:
+    // the int64 cast is undefined for NaN, infinities and |n| >= 2^63.
+    if (std::fabs(n) < 1e15 && n == std::trunc(n)) {
+        const auto res = std::to_chars(buf, buf + sizeof(buf),
+                                       static_cast<std::int64_t>(n));
+        out.append(buf, res.ptr);
         return;
     }
-    // Shortest representation that still round-trips exactly.
-    char buf[40];
+    // The shortest of %.15g, %.16g and %.17g that round-trips exactly
+    // (to_chars with a precision is specified as printf's %.*g).
+    char *end = buf;
     for (int precision = 15; precision <= 17; ++precision) {
-        std::snprintf(buf, sizeof(buf), "%.*g", precision, n);
-        if (std::stod(buf) == n)
+        end = std::to_chars(buf, buf + sizeof(buf), n,
+                            std::chars_format::general, precision)
+                  .ptr;
+        double back = 0.0;
+        std::from_chars(buf, end, back);
+        if (back == n)
             break;
     }
-    out += buf;
+    out.append(buf, end);
 }
 
 void
@@ -285,6 +296,127 @@ Value::dumpPretty() const
     std::string out;
     dumpTo(out, 2, 0);
     return out;
+}
+
+Writer::Writer(std::string &out_) : out(out_) {}
+
+void
+Writer::beforeValue()
+{
+    if (depth == 0)
+        return;
+    Frame &f = frames[depth - 1];
+    if (f.object) {
+        if (!afterKey)
+            throw std::logic_error(
+                "json::Writer: object value without a key");
+        afterKey = false;
+        return;
+    }
+    if (!f.empty)
+        out += ',';
+    f.empty = false;
+}
+
+void
+Writer::open(bool object, char bracket)
+{
+    beforeValue();
+    if (depth == frames.size())
+        frames.emplace_back();
+    Frame &f = frames[depth++];
+    f.object = object;
+    f.empty = true;
+    f.lastKey.clear();
+    out += bracket;
+}
+
+void
+Writer::close(bool object, char bracket)
+{
+    if (depth == 0 || frames[depth - 1].object != object || afterKey)
+        throw std::logic_error("json::Writer: unbalanced close");
+    --depth;
+    out += bracket;
+}
+
+Writer &
+Writer::beginObject()
+{
+    open(true, '{');
+    return *this;
+}
+
+Writer &
+Writer::endObject()
+{
+    close(true, '}');
+    return *this;
+}
+
+Writer &
+Writer::beginArray()
+{
+    open(false, '[');
+    return *this;
+}
+
+Writer &
+Writer::endArray()
+{
+    close(false, ']');
+    return *this;
+}
+
+Writer &
+Writer::key(std::string_view name)
+{
+    if (depth == 0 || !frames[depth - 1].object || afterKey)
+        throw std::logic_error("json::Writer: key outside an object");
+    Frame &f = frames[depth - 1];
+    if (!f.empty) {
+        if (name <= std::string_view(f.lastKey))
+            throw std::logic_error("json::Writer: key '" +
+                                   std::string(name) +
+                                   "' not above '" + f.lastKey + "'");
+        out += ',';
+    }
+    f.empty = false;
+    f.lastKey.assign(name);
+    escapeTo(out, name);
+    out += ':';
+    afterKey = true;
+    return *this;
+}
+
+Writer &
+Writer::value(double num)
+{
+    beforeValue();
+    numberTo(out, num);
+    return *this;
+}
+
+Writer &
+Writer::value(std::int64_t num)
+{
+    return value(static_cast<double>(num));
+}
+
+Writer &
+Writer::value(bool b)
+{
+    beforeValue();
+    out += b ? "true" : "false";
+    return *this;
+}
+
+Writer &
+Writer::value(std::string_view s)
+{
+    beforeValue();
+    escapeTo(out, s);
+    return *this;
 }
 
 namespace {

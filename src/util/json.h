@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace treadmill {
@@ -109,6 +110,69 @@ class Value
     std::string str;
     std::shared_ptr<Array> arr;
     std::shared_ptr<Object> obj;
+};
+
+/**
+ * Streams compact JSON into a caller-owned string without building a
+ * Value tree, byte for byte in the form Value::dump() produces: both
+ * share one number formatter and one string escaper.
+ *
+ * Value::dump() emits object members in std::map (ascending byte)
+ * order, so keys within each object must be written strictly
+ * ascending; a duplicate or out-of-order key throws std::logic_error.
+ * The output is therefore canonical by construction:
+ * parse(text).dump() == text.
+ */
+class Writer
+{
+  public:
+    /** Append to @p out (existing contents are kept). */
+    explicit Writer(std::string &out);
+
+    Writer &beginObject();
+    Writer &endObject();
+    Writer &beginArray();
+    Writer &endArray();
+
+    /** Start member @p name of the open object; the next value
+     *  written is its value. */
+    Writer &key(std::string_view name);
+
+    Writer &value(double num);
+    /** Written as Value(num) would be: converted to double. */
+    Writer &value(std::int64_t num);
+    Writer &value(bool b);
+    Writer &value(std::string_view s);
+    /** Without this overload a string literal would bind to bool. */
+    Writer &value(const char *s) { return value(std::string_view(s)); }
+
+    /** key(name).value(v). */
+    template <typename T>
+    Writer &
+    member(std::string_view name, const T &v)
+    {
+        return key(name).value(v);
+    }
+
+  private:
+    /** One open container. Frames are reused across siblings so a
+     *  long key's buffer is allocated once per depth, not per object. */
+    struct Frame {
+        bool object = false;
+        bool empty = true;
+        std::string lastKey;
+    };
+
+    void open(bool object, char bracket);
+    void close(bool object, char bracket);
+    /** Emit the separator a new array element needs and check that a
+     *  value is allowed here. */
+    void beforeValue();
+
+    std::string &out;
+    std::vector<Frame> frames;
+    std::size_t depth = 0;
+    bool afterKey = false;
 };
 
 /**

@@ -10,9 +10,11 @@
 
 #include "core/experiment.h"
 #include "exec/parallel_runner.h"
+#include "fault/plan.h"
 #include "obs/span.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
+#include "util/json.h"
 
 namespace treadmill {
 namespace core {
@@ -87,6 +89,23 @@ TEST(ExportDeterminismTest, ClusterRunExportsAreByteIdentical)
 TEST(ExportDeterminismTest, SingleBackendExportsAreByteIdentical)
 {
     expectByteIdenticalAcrossThreads(0);
+}
+
+TEST(ExportDeterminismTest, ClusterSpanExportsAreCanonicalJson)
+{
+    // Streamed exports must be byte-identical to the document model's
+    // canonical dump of the same content.
+    ExperimentParams p = tracedParams(4, 53);
+    p.faultPlan = fault::FaultPlan::fromJson(json::parse(R"({"events": [
+        {"kind": "server_stall", "backend": 1, "start_ms": 1,
+         "duration_ms": 0.5, "period_ms": 5, "repeat": 4}]})"));
+    const auto r = runExperiment(p);
+    ASSERT_FALSE(r.spans.empty());
+    ASSERT_FALSE(r.faultWindows.empty());
+    const std::string spans = obs::spanJson(r.spans);
+    const std::string lanes = obs::chromeSpanJson(r.spans, r.faultWindows);
+    EXPECT_EQ(json::parse(spans).dump(), spans);
+    EXPECT_EQ(json::parse(lanes).dump(), lanes);
 }
 
 TEST(ExportDeterminismTest, ObservabilityDoesNotPerturbTheRun)

@@ -361,6 +361,22 @@ TEST(SpanTest, ChromeSpanJsonLanesPerAttempt)
     EXPECT_GT(hops, 0u);
 }
 
+TEST(SpanTest, SpanExportsAreInCanonicalForm)
+{
+    // The exporters stream text directly; it must equal what the JSON
+    // document model would dump for the same content.
+    const std::vector<SpanTrace> spans = {
+        singleAttemptSpan(classicAttempt()),
+        singleAttemptSpan(clusterAttempt()), retrySpan(), hedgeSpan()};
+    const std::vector<TraceAnnotation> annotations = {
+        {"server_stall", 2'000, 9'000}, {"nic \"drop\"\n", 500, 700}};
+    for (const std::string &text :
+         {spanJson(spans), spanJson({}), chromeSpanJson(spans),
+          chromeSpanJson(spans, annotations),
+          chromeSpanJson({}, annotations)})
+        EXPECT_EQ(json::parse(text).dump(), text);
+}
+
 } // namespace
 } // namespace obs
 } // namespace treadmill

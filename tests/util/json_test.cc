@@ -4,6 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <stdexcept>
+
 #include "util/error.h"
 
 namespace treadmill {
@@ -147,6 +156,117 @@ TEST(JsonDumpTest, DoublesPrintShortestRoundTrip)
     EXPECT_DOUBLE_EQ(parse(Value(awkward).dump()).asNumber(), awkward);
     const double tiny = 1.2345678901234567e-30;
     EXPECT_DOUBLE_EQ(parse(Value(tiny).dump()).asNumber(), tiny);
+}
+
+/** The number format as printf/strtod state it: integral values below
+ *  1e15 as integers, otherwise the shortest of %.15g..%.17g that
+ *  round-trips through strtod. */
+std::string
+referenceNumber(double n)
+{
+    char buf[64];
+    if (std::isfinite(n) && std::fabs(n) < 1e15 && n == std::trunc(n)) {
+        std::snprintf(buf, sizeof(buf), "%lld",
+                      static_cast<long long>(n));
+        return buf;
+    }
+    for (int precision = 15; precision <= 17; ++precision) {
+        std::snprintf(buf, sizeof(buf), "%.*g", precision, n);
+        if (std::strtod(buf, nullptr) == n)
+            break;
+    }
+    return buf;
+}
+
+TEST(JsonDumpTest, NumbersMatchPrintfReferenceAtEdges)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double edges[] = {
+        0.0, -0.0, 1e15, -1e15, 1e15 - 1, -(1e15 - 1), 1e15 + 0.5,
+        9007199254740992.0, -9007199254740992.0, 9.3e18, -9.3e18,
+        1e19, 1e300, -1e300, std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        2.2250738585072009e-308, 1e-310, 0.1, 0.1 + 0.2, 1.0 / 3.0,
+        123.456, -2.5, inf, -inf, nan, -nan};
+    for (double n : edges)
+        EXPECT_EQ(Value(n).dump(), referenceNumber(n)) << n;
+    EXPECT_EQ(Value(-0.0).dump(), "0");
+    EXPECT_EQ(Value(9007199254740992.0).dump(), "9007199254740992");
+    EXPECT_EQ(Value(inf).dump(), "inf");
+    EXPECT_EQ(Value(nan).dump(), "nan");
+}
+
+TEST(JsonDumpTest, NumbersMatchPrintfReferenceOnRandomBits)
+{
+    std::mt19937_64 rng(20160618);
+    for (int i = 0; i < 200'000; ++i) {
+        const std::uint64_t bits = rng();
+        double n;
+        std::memcpy(&n, &bits, sizeof(n));
+        ASSERT_EQ(Value(n).dump(), referenceNumber(n)) << bits;
+        // Decimal-looking values: what exports mostly print.
+        const double scaled =
+            static_cast<double>(static_cast<std::int64_t>(bits >> 11)) /
+            std::pow(10.0, static_cast<double>(bits % 19));
+        ASSERT_EQ(Value(scaled).dump(), referenceNumber(scaled)) << bits;
+    }
+}
+
+TEST(JsonWriterTest, MatchesCanonicalDump)
+{
+    std::string out;
+    Writer w(out);
+    w.beginObject()
+        .key("a")
+        .beginArray()
+        .value(std::int64_t{1})
+        .value(2.5)
+        .beginObject()
+        .member("b", true)
+        .endObject()
+        .beginArray()
+        .endArray()
+        .endArray()
+        .member("c", "x\"\n")
+        .key("d")
+        .beginObject()
+        .endObject()
+        .member("e", -0.1)
+        .endObject();
+    EXPECT_EQ(out, parse(out).dump());
+    EXPECT_EQ(out, R"({"a":[1,2.5,{"b":true},[]],"c":"x\"\n",)"
+                   R"("d":{},"e":-0.1})");
+}
+
+TEST(JsonWriterTest, DuplicateOrOutOfOrderKeyThrows)
+{
+    std::string out;
+    Writer dup(out);
+    dup.beginObject().member("a", true);
+    EXPECT_THROW(dup.key("a"), std::logic_error);
+
+    Writer order(out);
+    order.beginObject().member("b", true);
+    EXPECT_THROW(order.key("a"), std::logic_error);
+
+    // Order is per object: a nested object starts afresh.
+    Writer nested(out);
+    nested.beginObject().key("b").beginObject().member("a", true);
+    EXPECT_NO_THROW(nested.endObject().member("c", false).endObject());
+}
+
+TEST(JsonWriterTest, MisplacedValueOrCloseThrows)
+{
+    std::string out;
+    Writer noKey(out);
+    noKey.beginObject();
+    EXPECT_THROW(noKey.value(true), std::logic_error);
+    Writer mismatch(out);
+    mismatch.beginArray();
+    EXPECT_THROW(mismatch.endObject(), std::logic_error);
 }
 
 TEST(JsonValueTest, EqualityComparesDeeply)
