@@ -2,11 +2,19 @@
  * @file
  * Performance microbenchmarks for the regression layer: the quantile-
  * regression fit that the attribution pipeline runs per quantile and
- * per bootstrap replicate (480 rows x 16 terms at paper scale).
+ * per bootstrap replicate (480 rows x 16 terms at paper scale), its MM
+ * inner solve, and the whole bootstrap fit at attribution-sweep scale
+ * (128 rows, 3 taus, 60 replicates) on 1 and 4 threads.
  */
+
+#include <algorithm>
+#include <cmath>
+#include <map>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
+#include "analysis/attribution.h"
 #include "regress/design.h"
 #include "regress/ols.h"
 #include "regress/quantreg.h"
@@ -67,6 +75,67 @@ BM_QuantRegFitMedian(benchmark::State &state)
         benchmark::DoNotOptimize(fitQuantile(data.x, data.y, 0.5));
 }
 BENCHMARK(BM_QuantRegFitMedian);
+
+void
+BM_SolveWeightedLs(benchmark::State &state)
+{
+    // One MM step's weighted system at sweep scale (128 x 16), with the
+    // weights a P99 fit would use at the least-squares start.
+    const Dataset data = factorialDataset(8);
+    const Vec beta = fitOls(data.x, data.y).coefficients;
+    const Vec predicted = data.x.multiply(beta);
+    Vec weights(data.y.size());
+    for (std::size_t i = 0; i < weights.size(); ++i)
+        weights[i] = 0.5 / std::max(std::fabs(data.y[i] - predicted[i]),
+                                    1e-3);
+    Vec linear = data.x.transposeMultiply(Vec(data.y.size(), 1.0));
+    for (double &v : linear)
+        v *= 0.99 - 0.5;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            solveWeightedLs(data.x, data.y, weights, linear, 1e-8));
+}
+BENCHMARK(BM_SolveWeightedLs);
+
+void
+BM_FitFactorialModels(benchmark::State &state)
+{
+    // The attribution sweep's fit: 8 reps x 16 cells, P50/P95/P99,
+    // 60 bootstrap replicates, on state.range(0) threads.
+    FactorialDesign design({"numa", "turbo", "dvfs", "nic"});
+    Rng rng(11);
+    Normal noise(0.0, 15.0);
+    std::vector<std::vector<double>> levels;
+    std::map<double, std::vector<double>> responses;
+    for (unsigned i = 0; i < 128; ++i) {
+        const unsigned cell = i % 16;
+        const std::vector<double> l{static_cast<double>(cell & 1),
+                                    static_cast<double>((cell >> 1) & 1),
+                                    static_cast<double>((cell >> 2) & 1),
+                                    static_cast<double>((cell >> 3) & 1)};
+        const double mean = 355.0 + 56.0 * l[0] - 29.0 * l[1] +
+                            29.0 * l[3] - 58.0 * l[2] * l[3];
+        levels.push_back(l);
+        for (double tau : {0.5, 0.95, 0.99})
+            responses[tau].push_back(mean * (1.0 + tau) +
+                                     noise.sample(rng));
+    }
+    analysis::FactorialFitParams params;
+    params.quantiles = {0.5, 0.95, 0.99};
+    params.bootstrapReplicates = 60;
+    params.parallelism =
+        exec::Parallelism{static_cast<unsigned>(state.range(0))};
+    for (auto _ : state)
+        benchmark::DoNotOptimize(analysis::fitFactorialModels(
+            design, levels, responses, params));
+    state.counters["fits"] = benchmark::Counter(
+        3.0 * 61.0, benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_FitFactorialModels)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void
 BM_OlsFit(benchmark::State &state)

@@ -1,6 +1,7 @@
 #include "analysis/attribution.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "regress/pseudo_r2.h"
 #include "util/error.h"
@@ -159,36 +160,64 @@ fitFactorialModels(const regress::FactorialDesign &design,
     const regress::Matrix x =
         regress::FactorialDesign::perturb(clean, params.perturbSd, rng);
 
-    const auto names = design.termNames();
-    std::vector<QuantileModel> models;
-    for (double tau : params.quantiles) {
+    // Draw every tau's resamples first, serially and in tau order,
+    // from the same substreams the serial bootstrap uses.
+    const std::size_t nTau = params.quantiles.size();
+    std::vector<const regress::Vec *> ys(nTau);
+    std::vector<std::vector<std::vector<std::size_t>>> resamples(nTau);
+    for (std::size_t t = 0; t < nTau; ++t) {
+        const double tau = params.quantiles[t];
         const auto responseIt = responses.find(tau);
         if (responseIt == responses.end() ||
             responseIt->second.size() != levels.size())
             throw NumericalError(
                 strprintf("responses missing or mis-sized for tau=%g",
                           tau));
-        const regress::Vec &y = responseIt->second;
-
+        ys[t] = &responseIt->second;
         Rng bootRng = rng.substream(
             static_cast<std::uint64_t>(tau * 1e6));
+        resamples[t] = regress::drawResamples(
+            x.rows(), params.bootstrapReplicates, bootRng);
+    }
+
+    // Then every fit -- per tau, the full-data fit and one refit per
+    // replicate -- into its own slot, on any number of threads.
+    const std::size_t perTau = params.bootstrapReplicates + 1;
+    std::vector<regress::QuantRegResult> fits(nTau);
+    std::vector<std::vector<regress::Vec>> replicates(
+        nTau, std::vector<regress::Vec>(params.bootstrapReplicates));
+    exec::parallelFor(params.parallelism, nTau * perTau,
+                      [&](std::size_t slot) {
+        const std::size_t t = slot / perTau;
+        const std::size_t b = slot % perTau;
+        const double tau = params.quantiles[t];
+        if (b == 0)
+            fits[t] = regress::fitQuantile(x, *ys[t], tau);
+        else
+            replicates[t][b - 1] = regress::fitResample(
+                x, *ys[t], resamples[t][b - 1], tau);
+    });
+
+    const auto names = design.termNames();
+    std::vector<QuantileModel> models;
+    for (std::size_t t = 0; t < nTau; ++t) {
+        const double tau = params.quantiles[t];
         const regress::QuantRegInference inference =
-            regress::bootstrapQuantReg(x, y, tau,
-                                       params.bootstrapReplicates,
-                                       bootRng);
+            regress::summarizeBootstrap(std::move(fits[t]),
+                                        replicates[t]);
 
         QuantileModel model;
         model.tau = tau;
         model.fit = inference.fit;
         model.pseudoR2 = regress::pseudoR2(
-            x, y, inference.fit.coefficients, tau);
-        for (std::size_t t = 0; t < names.size(); ++t) {
+            x, *ys[t], inference.fit.coefficients, tau);
+        for (std::size_t i = 0; i < names.size(); ++i) {
             TermEstimate term;
-            term.name = names[t];
-            term.estimate = inference.coefficients[t].estimate;
+            term.name = names[i];
+            term.estimate = inference.coefficients[i].estimate;
             term.standardError =
-                inference.coefficients[t].standardError;
-            term.pValue = inference.coefficients[t].pValue;
+                inference.coefficients[i].standardError;
+            term.pValue = inference.coefficients[i].pValue;
             model.terms.push_back(std::move(term));
         }
         models.push_back(std::move(model));
@@ -231,6 +260,7 @@ fitAttribution(const AttributionParams &params,
     fit.bootstrapReplicates = params.bootstrapReplicates;
     fit.perturbSd = params.perturbSd;
     fit.seed = params.seed;
+    fit.parallelism = params.parallelism;
     result.models =
         fitFactorialModels(result.design, levels, responses, fit);
     return result;

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/experiment.h"
+#include "exec/parallel_for.h"
 #include "hw/hardware_config.h"
 #include "regress/design.h"
 #include "regress/inference.h"
@@ -44,9 +45,11 @@ struct AttributionParams {
     core::AggregationKind aggregation =
         core::AggregationKind::PerInstance;
     std::uint64_t seed = 1;
-    /** Fan the independent experiments across threads; the collected
-     *  Observation set is bit-exact for every setting (each run's
-     *  seed depends only on its index; see core::runExperiments). */
+    /** Fan the independent experiments, and then the bootstrap
+     *  refits, across threads; the Observation set and the models are
+     *  bit-exact for every setting (each run's seed depends only on its
+     *  index, see core::runExperiments; for the fit see
+     *  FactorialFitParams::parallelism). */
     exec::Parallelism parallelism{};
     /** Optional sweep observer (runs done / total, wall-clock,
      *  achieved sim-time throughput). */
@@ -120,6 +123,13 @@ struct FactorialFitParams {
     std::size_t bootstrapReplicates = 200;
     double perturbSd = 0.01;
     std::uint64_t seed = 1;
+    /** Fan the nTau x (bootstrapReplicates + 1) quantile fits across
+     *  threads. Resamples are drawn serially, each fit lands in its
+     *  own index-addressed slot, and the summary is built in replicate
+     *  order, so the models are bit-exact for every setting. Serial by
+     *  default, for callers that already overlap fits with other
+     *  work. */
+    exec::Parallelism parallelism = exec::Parallelism::serial();
 };
 
 /**

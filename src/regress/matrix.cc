@@ -1,5 +1,6 @@
 #include "regress/matrix.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/error.h"
@@ -13,20 +14,6 @@ Matrix::Matrix(std::size_t rows, std::size_t cols)
 {
     if (rows == 0 || cols == 0)
         throw NumericalError("matrix dimensions must be positive");
-}
-
-double &
-Matrix::at(std::size_t r, std::size_t c)
-{
-    TM_ASSERT(r < nRows && c < nCols, "matrix index out of range");
-    return data[r * nCols + c];
-}
-
-double
-Matrix::at(std::size_t r, std::size_t c) const
-{
-    TM_ASSERT(r < nRows && c < nCols, "matrix index out of range");
-    return data[r * nCols + c];
 }
 
 Matrix
@@ -55,12 +42,15 @@ Matrix::multiply(const Matrix &other) const
         throw NumericalError("matrix product shape mismatch");
     Matrix out(nRows, other.nCols);
     for (std::size_t r = 0; r < nRows; ++r) {
+        const double *a = rowData(r);
+        double *o = out.rowData(r);
         for (std::size_t k = 0; k < nCols; ++k) {
-            const double v = at(r, k);
+            const double v = a[k];
             if (v == 0.0)
                 continue;
+            const double *b = other.rowData(k);
             for (std::size_t c = 0; c < other.nCols; ++c)
-                out.at(r, c) += v * other.at(k, c);
+                o[c] += v * b[c];
         }
     }
     return out;
@@ -73,9 +63,10 @@ Matrix::multiply(const Vec &v) const
         throw NumericalError("matrix-vector shape mismatch");
     Vec out(nRows, 0.0);
     for (std::size_t r = 0; r < nRows; ++r) {
+        const double *a = rowData(r);
         double sum = 0.0;
         for (std::size_t c = 0; c < nCols; ++c)
-            sum += at(r, c) * v[c];
+            sum += a[c] * v[c];
         out[r] = sum;
     }
     return out;
@@ -86,12 +77,14 @@ Matrix::gram() const
 {
     Matrix g(nCols, nCols);
     for (std::size_t r = 0; r < nRows; ++r) {
+        const double *xr = rowData(r);
         for (std::size_t i = 0; i < nCols; ++i) {
-            const double vi = at(r, i);
+            const double vi = xr[i];
             if (vi == 0.0)
                 continue;
+            double *gi = g.rowData(i);
             for (std::size_t j = i; j < nCols; ++j)
-                g.at(i, j) += vi * at(r, j);
+                gi[j] += vi * xr[j];
         }
     }
     for (std::size_t i = 0; i < nCols; ++i)
@@ -110,8 +103,9 @@ Matrix::transposeMultiply(const Vec &v) const
         const double w = v[r];
         if (w == 0.0)
             continue;
+        const double *xr = rowData(r);
         for (std::size_t c = 0; c < nCols; ++c)
-            out[c] += at(r, c) * w;
+            out[c] += xr[c] * w;
     }
     return out;
 }
@@ -119,11 +113,8 @@ Matrix::transposeMultiply(const Vec &v) const
 Vec
 Matrix::row(std::size_t r) const
 {
-    TM_ASSERT(r < nRows, "row index out of range");
-    Vec out(nCols);
-    for (std::size_t c = 0; c < nCols; ++c)
-        out[c] = at(r, c);
-    return out;
+    const double *xr = rowData(r);
+    return Vec(xr, xr + nCols);
 }
 
 Matrix
@@ -134,8 +125,8 @@ Matrix::selectRows(const std::vector<std::size_t> &indices) const
     Matrix out(indices.size(), nCols);
     for (std::size_t i = 0; i < indices.size(); ++i) {
         TM_ASSERT(indices[i] < nRows, "selected row out of range");
-        for (std::size_t c = 0; c < nCols; ++c)
-            out.at(i, c) = at(indices[i], c);
+        const double *src = rowData(indices[i]);
+        std::copy(src, src + nCols, out.rowData(i));
     }
     return out;
 }
@@ -161,10 +152,12 @@ choleskyFactor(const Matrix &a)
     const std::size_t n = a.rows();
     Matrix l(n, n);
     for (std::size_t i = 0; i < n; ++i) {
+        double *li = l.rowData(i);
         for (std::size_t j = 0; j <= i; ++j) {
+            const double *lj = l.rowData(j);
             double sum = a.at(i, j);
             for (std::size_t k = 0; k < j; ++k)
-                sum -= l.at(i, k) * l.at(j, k);
+                sum -= li[k] * lj[k];
             if (i == j) {
                 // Relative tolerance: an exactly collinear design
                 // loses all pivot mass up to rounding noise.
@@ -173,32 +166,31 @@ choleskyFactor(const Matrix &a)
                 if (sum <= floor)
                     throw NumericalError(
                         "matrix is not positive definite");
-                l.at(i, i) = std::sqrt(sum);
+                li[i] = std::sqrt(sum);
             } else {
-                l.at(i, j) = sum / l.at(j, j);
+                li[j] = sum / lj[j];
             }
         }
     }
     return l;
 }
 
-} // namespace
-
+/** Solve L L^T x = b for a factor from choleskyFactor(). */
 Vec
-solveCholesky(const Matrix &a, const Vec &b)
+choleskySolve(const Matrix &l, const Vec &b)
 {
-    const Matrix l = choleskyFactor(a);
-    const std::size_t n = a.rows();
+    const std::size_t n = l.rows();
     if (b.size() != n)
         throw NumericalError("solve shape mismatch");
 
     // Forward substitution: L z = b.
     Vec z(n);
     for (std::size_t i = 0; i < n; ++i) {
+        const double *li = l.rowData(i);
         double sum = b[i];
         for (std::size_t k = 0; k < i; ++k)
-            sum -= l.at(i, k) * z[k];
-        z[i] = sum / l.at(i, i);
+            sum -= li[k] * z[k];
+        z[i] = sum / li[i];
     }
     // Back substitution: L^T x = z.
     Vec x(n);
@@ -209,6 +201,14 @@ solveCholesky(const Matrix &a, const Vec &b)
         x[ii] = sum / l.at(ii, ii);
     }
     return x;
+}
+
+} // namespace
+
+Vec
+solveCholesky(const Matrix &a, const Vec &b)
+{
+    return choleskySolve(choleskyFactor(a), b);
 }
 
 Vec
@@ -261,12 +261,14 @@ solveLinearSystem(Matrix a, Vec b)
 Matrix
 invertSpd(const Matrix &a)
 {
+    // One factorization serves all n column solves.
+    const Matrix l = choleskyFactor(a);
     const std::size_t n = a.rows();
     Matrix inv(n, n);
     for (std::size_t c = 0; c < n; ++c) {
         Vec e(n, 0.0);
         e[c] = 1.0;
-        const Vec col = solveCholesky(a, e);
+        const Vec col = choleskySolve(l, e);
         for (std::size_t r = 0; r < n; ++r)
             inv.at(r, c) = col[r];
     }

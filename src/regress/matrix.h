@@ -13,6 +13,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "util/logging.h"
+
 namespace treadmill {
 namespace regress {
 
@@ -34,8 +36,37 @@ class Matrix
     std::size_t rows() const { return nRows; }
     std::size_t cols() const { return nCols; }
 
-    double &at(std::size_t r, std::size_t c);
-    double at(std::size_t r, std::size_t c) const;
+    /** Bounds-checked element access; inline because the regression
+     *  kernels call it in their innermost loops. */
+    double &
+    at(std::size_t r, std::size_t c)
+    {
+        TM_ASSERT(r < nRows && c < nCols, "matrix index out of range");
+        return data[r * nCols + c];
+    }
+
+    double
+    at(std::size_t r, std::size_t c) const
+    {
+        TM_ASSERT(r < nRows && c < nCols, "matrix index out of range");
+        return data[r * nCols + c];
+    }
+
+    /** Pointer to the cols() contiguous elements of row @p r, for
+     *  kernels that walk a whole row. */
+    double *
+    rowData(std::size_t r)
+    {
+        TM_ASSERT(r < nRows, "row index out of range");
+        return data.data() + r * nCols;
+    }
+
+    const double *
+    rowData(std::size_t r) const
+    {
+        TM_ASSERT(r < nRows, "row index out of range");
+        return data.data() + r * nCols;
+    }
 
     /** n x n identity. */
     static Matrix identity(std::size_t n);

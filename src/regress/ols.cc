@@ -77,6 +77,9 @@ solveWeightedLs(const Matrix &x, const Vec &y, const Vec &weights,
     if (linearTerm.size() != x.cols())
         throw NumericalError("weighted LS linear-term shape mismatch");
 
+    // Runs once per MM iteration, so it walks raw rows. Hoisting w * xi
+    // keeps every product's (w * xi) * x[r][j] association and every
+    // sum's row order, so the result bits do not change.
     const std::size_t p = x.cols();
     Matrix xtwx(p, p);
     Vec xtwy(p, 0.0);
@@ -84,13 +87,17 @@ solveWeightedLs(const Matrix &x, const Vec &y, const Vec &weights,
         const double w = weights[r];
         if (w == 0.0)
             continue;
+        const double *xr = x.rowData(r);
+        const double yr = y[r];
         for (std::size_t i = 0; i < p; ++i) {
-            const double xi = x.at(r, i);
+            const double xi = xr[i];
             if (xi == 0.0)
                 continue;
-            xtwy[i] += w * xi * y[r];
+            const double wxi = w * xi;
+            xtwy[i] += wxi * yr;
+            double *gi = xtwx.rowData(i);
             for (std::size_t j = i; j < p; ++j)
-                xtwx.at(i, j) += w * xi * x.at(r, j);
+                gi[j] += wxi * xr[j];
         }
     }
     for (std::size_t i = 0; i < p; ++i) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "regress/ols.h"
 #include "util/error.h"
@@ -16,15 +17,25 @@ pinballLoss(double tau, double err)
     return err >= 0.0 ? tau * err : (tau - 1.0) * err;
 }
 
+namespace {
+
+/** Total pinball loss of @p predicted against @p y. */
 double
-totalPinballLoss(const Matrix &x, const Vec &y, const Vec &beta,
-                 double tau)
+lossOfPredictions(const Vec &y, const Vec &predicted, double tau)
 {
-    const Vec predicted = x.multiply(beta);
     double loss = 0.0;
     for (std::size_t i = 0; i < y.size(); ++i)
         loss += pinballLoss(tau, y[i] - predicted[i]);
     return loss;
+}
+
+} // namespace
+
+double
+totalPinballLoss(const Matrix &x, const Vec &y, const Vec &beta,
+                 double tau)
+{
+    return lossOfPredictions(y, x.multiply(beta), tau);
 }
 
 double
@@ -50,7 +61,10 @@ fitQuantile(const Matrix &x, const Vec &y, double tau,
 
     // Start from the least-squares solution.
     result.coefficients = fitOls(x, y, options.ridge).coefficients;
-    double loss = totalPinballLoss(x, y, result.coefficients, tau);
+    // X beta for the current coefficients, carried across iterations:
+    // the loss check already computes it for every candidate.
+    Vec predicted = x.multiply(result.coefficients);
+    double loss = lossOfPredictions(y, predicted, tau);
 
     // Hunter-Lange MM with annealed smoothing: the surrogate for
     // rho_tau(r) at r0 is  r^2 / (4 max(|r0|, eps)) + (tau - 1/2) r
@@ -64,21 +78,21 @@ fitQuantile(const Matrix &x, const Vec &y, double tau,
         v *= (tau - 0.5);
 
     for (std::uint64_t it = 0; it < options.maxIterations; ++it) {
-        const Vec predicted = x.multiply(result.coefficients);
         for (std::size_t i = 0; i < y.size(); ++i) {
             const double r = std::fabs(y[i] - predicted[i]);
             weights[i] = 0.5 / std::max(r, epsilon);
         }
 
-        const Vec next =
-            solveWeightedLs(x, y, weights, linear, options.ridge);
-        const double nextLoss = totalPinballLoss(x, y, next, tau);
+        Vec next = solveWeightedLs(x, y, weights, linear, options.ridge);
+        Vec nextPredicted = x.multiply(next);
+        const double nextLoss = lossOfPredictions(y, nextPredicted, tau);
         ++result.iterations;
 
         const double improvement =
             loss > 0.0 ? (loss - nextLoss) / loss : 0.0;
         if (nextLoss <= loss) {
-            result.coefficients = next;
+            result.coefficients = std::move(next);
+            predicted = std::move(nextPredicted);
             loss = nextLoss;
         }
 

@@ -99,6 +99,60 @@ TEST(InferenceTest, TailQuantileHasLargerUncertainty)
               inf50.coefficients[0].standardError);
 }
 
+TEST(InferenceTest, ReportsRefitsThatEnteredTheStandardErrors)
+{
+    // Two reps of an unperturbed 2^2 design: a resample of 8 rows
+    // often misses a cell, leaving a singular design that is skipped.
+    FactorialData data(13, 2);
+    const std::size_t requested = 60;
+    Rng rng(14);
+    const auto inf =
+        bootstrapQuantReg(data.x, data.y, 0.5, requested, rng);
+
+    // The same steps composed by hand, from an identically seeded rng.
+    Rng replay(14);
+    const auto resamples =
+        drawResamples(data.x.rows(), requested, replay);
+    std::vector<Vec> refits;
+    std::size_t skipped = 0;
+    for (const auto &indices : resamples) {
+        refits.push_back(fitResample(data.x, data.y, indices, 0.5));
+        skipped += refits.back().empty();
+    }
+    ASSERT_GT(skipped, 0u);
+    EXPECT_EQ(inf.bootstrapReplicates, requested - skipped);
+    EXPECT_LT(inf.bootstrapReplicates, requested);
+
+    const auto composed = summarizeBootstrap(
+        fitQuantile(data.x, data.y, 0.5), refits);
+    EXPECT_EQ(composed.bootstrapReplicates, inf.bootstrapReplicates);
+    EXPECT_EQ(composed.fit.coefficients, inf.fit.coefficients);
+    ASSERT_EQ(composed.coefficients.size(), inf.coefficients.size());
+    for (std::size_t j = 0; j < inf.coefficients.size(); ++j) {
+        EXPECT_EQ(composed.coefficients[j].standardError,
+                  inf.coefficients[j].standardError);
+        EXPECT_EQ(composed.coefficients[j].pValue,
+                  inf.coefficients[j].pValue);
+        EXPECT_EQ(composed.coefficients[j].ciLow,
+                  inf.coefficients[j].ciLow);
+        EXPECT_EQ(composed.coefficients[j].ciHigh,
+                  inf.coefficients[j].ciHigh);
+    }
+}
+
+TEST(InferenceTest, ResamplesAreDrawnReplicateByReplicate)
+{
+    Rng rng(15);
+    const auto resamples = drawResamples(10, 3, rng);
+    Rng replay(15);
+    ASSERT_EQ(resamples.size(), 3u);
+    for (const auto &indices : resamples) {
+        ASSERT_EQ(indices.size(), 10u);
+        for (std::size_t idx : indices)
+            EXPECT_EQ(idx, replay.nextBelow(10));
+    }
+}
+
 TEST(InferenceTest, RejectsTooFewReplicates)
 {
     FactorialData data(11);
