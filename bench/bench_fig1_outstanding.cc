@@ -19,35 +19,44 @@ using namespace treadmill;
 
 namespace {
 
+/** Sends per outstanding count, summed over every instance. */
 std::vector<std::uint64_t>
-outstandingSamples(const core::ExperimentResult &result)
+outstandingCounts(const core::ExperimentResult &result)
 {
     std::vector<std::uint64_t> all;
-    for (const auto &inst : result.instances)
-        all.insert(all.end(), inst.outstandingAtSend.begin(),
-                   inst.outstandingAtSend.end());
-    std::sort(all.begin(), all.end());
+    for (const auto &inst : result.instances) {
+        const auto &counts = inst.outstandingAtSend;
+        if (counts.size() > all.size())
+            all.resize(counts.size(), 0);
+        for (std::size_t v = 0; v < counts.size(); ++v)
+            all[v] += counts[v];
+    }
     return all;
 }
 
 void
-printCdf(const char *label, const std::vector<std::uint64_t> &sorted)
+printCdf(const char *label, const std::vector<std::uint64_t> &counts)
 {
     std::printf("%s\n", label);
     std::printf("  outstanding   CDF\n");
-    if (sorted.empty()) {
+    std::uint64_t total = 0;
+    for (std::uint64_t c : counts)
+        total += c;
+    if (total == 0) {
         std::printf("  (no samples)\n");
         return;
     }
-    const std::uint64_t maxVal = sorted.back();
+    // Each instance's vector ends at its largest count, so the merged
+    // one ends at the largest count seen anywhere.
+    const std::uint64_t maxVal = counts.size() - 1;
+    std::uint64_t below = 0;
     for (std::uint64_t v = 0; v <= std::min<std::uint64_t>(maxVal, 30);
          ++v) {
-        const auto below = static_cast<double>(
-            std::upper_bound(sorted.begin(), sorted.end(), v) -
-            sorted.begin());
+        below += counts[v];
         std::printf("  %11llu   %.4f\n",
                     static_cast<unsigned long long>(v),
-                    below / static_cast<double>(sorted.size()));
+                    static_cast<double>(below) /
+                        static_cast<double>(total));
     }
     std::printf("  max outstanding seen: %llu\n\n",
                 static_cast<unsigned long long>(maxVal));
@@ -68,7 +77,7 @@ main()
     // A single instance keeps the outstanding counts per-queue honest.
     open.tester.clientMachines = 4;
     const auto openResult = core::runExperiment(open);
-    printCdf("Open-Loop", outstandingSamples(openResult));
+    printCdf("Open-Loop", outstandingCounts(openResult));
 
     for (unsigned conns : {12u, 8u, 4u}) {
         core::ExperimentParams closed = open;
@@ -81,7 +90,7 @@ main()
         std::snprintf(label, sizeof(label),
                       "Closed-Loop w/%u Connections (per client)",
                       conns);
-        printCdf(label, outstandingSamples(closedResult));
+        printCdf(label, outstandingCounts(closedResult));
     }
 
     std::printf("Expectation (paper Fig 1): the open-loop CDF reaches"

@@ -12,7 +12,6 @@
 #include "bench_common.h"
 
 #include "core/tester_spec.h"
-#include "stats/summary.h"
 
 using namespace treadmill;
 
@@ -42,9 +41,9 @@ runSetup(const char *name, unsigned clients)
         for (const auto &inst : result.instances)
             maxCpu = std::max(maxCpu, inst.cpuUtilization);
         std::printf("  %.2f   %10.1f  %11.1f  %10.1f      %.2f\n",
-                    util, stats::mean(result.serverComponentUs),
-                    stats::mean(result.networkComponentUs),
-                    stats::mean(result.clientComponentUs), maxCpu);
+                    util, result.serverComponentUs.mean(),
+                    result.networkComponentUs.mean(),
+                    result.clientComponentUs.mean(), maxCpu);
     }
     std::printf("\n");
 }

@@ -106,7 +106,7 @@ BM_CounterAdd(benchmark::State &state)
 }
 BENCHMARK(BM_CounterAdd);
 
-/** Histogram record: frexp bucketing + exact moment updates. */
+/** Histogram record: bucket from the value's bits + exact moments. */
 void
 BM_HistogramRecord(benchmark::State &state)
 {

@@ -110,6 +110,17 @@ BM_ExactQuantileSort(benchmark::State &state)
 }
 BENCHMARK(BM_ExactQuantileSort)->Arg(1000)->Arg(20000);
 
+/** One key-popularity draw at the workload's default skew. */
+void
+BM_ZipfSample(benchmark::State &state)
+{
+    Rng rng(11);
+    Zipf zipf(100000, 0.99);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(zipf.sample(rng));
+}
+BENCHMARK(BM_ZipfSample);
+
 } // namespace
 
 BENCHMARK_MAIN();

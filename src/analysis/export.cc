@@ -9,6 +9,13 @@ namespace {
 
 const double kExportQuantiles[] = {0.5, 0.9, 0.95, 0.99, 0.999};
 
+/** Export key of quantile @p q ("p500", "p990", ...). */
+std::string
+quantileKey(double q)
+{
+    return "p" + std::to_string(static_cast<int>(q * 1000.0));
+}
+
 /** Quantile summary of a raw sample vector. */
 json::Value
 quantileSummary(const std::vector<double> &samples)
@@ -20,13 +27,28 @@ quantileSummary(const std::vector<double> &samples)
         std::vector<double> sorted = samples;
         std::sort(sorted.begin(), sorted.end());
         json::Object qs;
-        for (double q : kExportQuantiles) {
-            qs["p" + std::to_string(
-                         static_cast<int>(q * 1000.0))] =
+        for (double q : kExportQuantiles)
+            qs[quantileKey(q)] =
                 json::Value(stats::quantileSorted(sorted, q));
-        }
         obj["quantiles_us"] = json::Value(std::move(qs));
         obj["mean_us"] = json::Value(stats::mean(samples));
+    }
+    return json::Value(std::move(obj));
+}
+
+/** The same summary from a histogram: count and mean are exact, the
+ *  quantiles sit within one bucket of the exact sample quantile. */
+json::Value
+quantileSummary(const obs::Histogram &hist)
+{
+    json::Object obj;
+    obj["count"] = json::Value(static_cast<std::int64_t>(hist.count()));
+    if (hist.count() > 0) {
+        json::Object qs;
+        for (double q : kExportQuantiles)
+            qs[quantileKey(q)] = json::Value(hist.quantile(q));
+        obj["quantiles_us"] = json::Value(std::move(qs));
+        obj["mean_us"] = json::Value(hist.mean());
     }
     return json::Value(std::move(obj));
 }
@@ -47,9 +69,8 @@ toJson(const core::ExperimentResult &result)
 
     json::Object aggregated;
     for (double q : kExportQuantiles) {
-        aggregated["p" + std::to_string(static_cast<int>(q * 1000.0))] =
-            json::Value(result.aggregatedQuantile(
-                q, core::AggregationKind::PerInstance));
+        aggregated[quantileKey(q)] = json::Value(result.aggregatedQuantile(
+            q, core::AggregationKind::PerInstance));
     }
     doc["aggregated_quantiles_us"] = json::Value(std::move(aggregated));
 
@@ -64,7 +85,7 @@ toJson(const core::ExperimentResult &result)
     doc["capture"] = json::Value(std::move(capture));
     doc["deadline_hit"] = json::Value(result.deadlineHit);
 
-    // Measured per-component decomposition samples (Fig 3).
+    // Measured per-component decomposition summaries (Fig 3).
     json::Object components;
     components["server"] = quantileSummary(result.serverComponentUs);
     components["network"] = quantileSummary(result.networkComponentUs);
@@ -87,8 +108,7 @@ toJson(const core::ExperimentResult &result)
         i["remote_rack"] = json::Value(inst.remoteRack);
         json::Object qs;
         for (const auto &[q, v] : inst.quantiles)
-            qs["p" + std::to_string(static_cast<int>(q * 1000.0))] =
-                json::Value(v);
+            qs[quantileKey(q)] = json::Value(v);
         i["quantiles_us"] = json::Value(std::move(qs));
         instances.push_back(json::Value(std::move(i)));
     }

@@ -92,15 +92,12 @@ LoadTesterInstance::LoadTesterInstance(sim::Simulation &sim_,
                 "hedgeDelayUs > 0 or hedgeMinSamples > 0");
     }
 
-    // Pre-size the per-send outstanding log for the whole run (the
-    // slack covers timeouts/hedges issuing more attempts than
-    // samples); steady-state sends then never grow the vector.
-    const SampleCollector::Params &col = cfg.collector;
-    outstandingSamples.reserve(
-        (col.warmUpSamples + col.calibrationSamples +
-         col.measurementSamples) *
-            5 / 4 +
-        1024);
+    // A new outstanding maximum can arrive at any point in a run;
+    // reserving 64 entries lets one below 64 grow the count vector
+    // without allocating, which keeps the warm loop in
+    // zero_alloc_test allocation-free. Larger maxima (open-loop
+    // bursts) reallocate a few times per run.
+    outstandingCounts.reserve(64);
 
     if (cfg.loop == ControlLoop::OpenLoop) {
         controller = std::make_unique<OpenLoopController>(
@@ -144,7 +141,9 @@ LoadTesterInstance::issueRequest(SimTime intendedSend)
     // open-loop schedule meant it to go; clones re-stamp this.
     request->triggerAt = intendedSend;
 
-    outstandingSamples.push_back(outstandingCount);
+    if (outstandingCount >= outstandingCounts.size())
+        outstandingCounts.resize(outstandingCount + 1, 0);
+    ++outstandingCounts[outstandingCount];
     outstandingHist.record(static_cast<double>(outstandingCount));
     ++outstandingCount;
     outstandingGauge.set(static_cast<double>(outstandingCount));

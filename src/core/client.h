@@ -167,11 +167,12 @@ class LoadTesterInstance
     /** Responses that arrived after their logical request completed,
      *  failed, or the measurement window closed. */
     std::uint64_t lateResponses() const { return lateCount; }
-    /** Outstanding-request count observed at each send instant
-     *  (the Fig 1 distribution). */
+    /** Sends per outstanding-request count seen at the send instant
+     *  (the Fig 1 distribution): entry k counts sends that found k
+     *  requests in flight; the length is the largest k seen plus one. */
     const std::vector<std::uint64_t> &outstandingAtSend() const
     {
-        return outstandingSamples;
+        return outstandingCounts;
     }
     /** Busy fraction of the client CPU. */
     double cpuUtilization() const;
@@ -287,7 +288,7 @@ class LoadTesterInstance
     std::uint64_t hedgeWinCount = 0;
     std::uint64_t failedCount = 0;
     std::uint64_t lateCount = 0;
-    std::vector<std::uint64_t> outstandingSamples;
+    std::vector<std::uint64_t> outstandingCounts;
     std::function<void(const server::RequestPtr &)> completionHook;
     std::function<void(const obs::SpanTrace &)> spanSink;
     /** Reused span buffer: recordSpan fills it in place, so span

@@ -128,11 +128,11 @@ struct Harness {
     bool deadlineHit = false;
 
     std::uint64_t responsesCompleted = 0;
-    std::vector<double> serverComponentUs;
-    std::vector<double> networkComponentUs;
-    std::vector<double> clientComponentUs;
-    std::vector<double> getLatencyUs;
-    std::vector<double> setLatencyUs;
+    obs::Histogram serverComponentUs;
+    obs::Histogram networkComponentUs;
+    obs::Histogram clientComponentUs;
+    obs::Histogram getLatencyUs;
+    obs::Histogram setLatencyUs;
 
     server::Service &
     rawService()
@@ -434,19 +434,14 @@ runExperiment(const ExperimentParams &params)
         h->instances.push_back(std::move(instance));
     }
 
-    // Size the per-request component vectors up front (headroom for
-    // retried/cloned attempts) so the completion hook never reallocates.
+    // Size the span buffer up front (headroom for retried/cloned
+    // attempts) so the completion hook never reallocates.
     const std::size_t expectedResponses =
         static_cast<std::size_t>(params.tester.clientMachines) *
             (params.collector.warmUpSamples +
              params.collector.calibrationSamples +
              params.collector.measurementSamples) * 5 / 4 +
         1024;
-    h->serverComponentUs.reserve(expectedResponses);
-    h->networkComponentUs.reserve(expectedResponses);
-    h->clientComponentUs.reserve(expectedResponses);
-    h->getLatencyUs.reserve(expectedResponses);
-    h->setLatencyUs.reserve(expectedResponses);
     h->spanRecorder.reserveFor(expectedResponses);
 
     // Completion hook: decompose latency, stop load at per-instance
@@ -456,20 +451,20 @@ runExperiment(const ExperimentParams &params)
         instance->setCompletionHook(
             [harness](const server::RequestPtr &req) {
                 ++harness->responsesCompleted;
-                harness->serverComponentUs.push_back(
+                harness->serverComponentUs.record(
                     req->serverLatencyUs());
-                harness->networkComponentUs.push_back(
+                harness->networkComponentUs.record(
                     toMicros((req->nicArrival - req->clientSend) +
                              (req->clientNicArrival -
                               req->nicDeparture)));
-                harness->clientComponentUs.push_back(
+                harness->clientComponentUs.record(
                     toMicros((req->clientSend - req->intendedSend) +
                              (req->clientReceive -
                               req->clientNicArrival)));
                 (req->op == server::OpType::Get
                      ? harness->getLatencyUs
                      : harness->setLatencyUs)
-                    .push_back(req->clientLatencyUs());
+                    .record(req->clientLatencyUs());
 
                 if (harness->params.trace.enabled) {
                     obs::RequestTrace trace;

@@ -30,6 +30,7 @@
 #include "hw/hardware_config.h"
 #include "hw/machine_spec.h"
 #include "lb/policy.h"
+#include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
@@ -161,6 +162,9 @@ struct InstanceReport {
     std::uint64_t measured = 0;
     bool reachedTarget = false;
     bool remoteRack = false;
+    /** Sends per outstanding count: entry k is how many sends found k
+     *  requests already in flight (the Fig 1 distribution); its length
+     *  is the largest count seen plus one. */
     std::vector<std::uint64_t> outstandingAtSend;
     std::vector<std::pair<std::uint64_t, double>> trajectory;
 };
@@ -218,20 +222,24 @@ struct ExperimentResult {
     std::uint64_t lbFailovers = 0;  ///< Routed past a down primary.
     /** @} */
 
-    /** @name Latency decomposition samples (Fig 3), microseconds
+    /** @name Latency decomposition (Fig 3), microseconds
+     * Fixed-size summaries of every completed request: exact count,
+     * sum, mean, min and max, with log-bucketed quantiles. They live
+     * outside the run's metrics registry, so `metrics` and every
+     * export built from it are unaffected by them.
      * @{
      */
-    std::vector<double> serverComponentUs;
-    std::vector<double> networkComponentUs;
-    std::vector<double> clientComponentUs;
+    obs::Histogram serverComponentUs;
+    obs::Histogram networkComponentUs;
+    obs::Histogram clientComponentUs;
     /** @} */
 
     /** @name Per-operation-type latencies (S II-B notes that request
      * types with distinct characteristics must not be merged blindly)
      * @{
      */
-    std::vector<double> getLatencyUs;
-    std::vector<double> setLatencyUs;
+    obs::Histogram getLatencyUs;
+    obs::Histogram setLatencyUs;
     /** @} */
 
     /**

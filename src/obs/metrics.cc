@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/error.h"
@@ -9,19 +10,21 @@
 namespace treadmill {
 namespace obs {
 
-Histogram::Histogram() : buckets(kBucketCount, 0) {}
-
 int
 Histogram::bucketFor(double value)
 {
     if (!(value > 0.0))
-        return 0;
-    int exp = 0;
-    const double mantissa = std::frexp(value, &exp); // in [0.5, 1)
-    const int sub = static_cast<int>((mantissa - 0.5) *
-                                     (2.0 * kSubBuckets));
-    const int idx = (exp - kMinExp) * kSubBuckets +
-                    std::clamp(sub, 0, kSubBuckets - 1);
+        return 0; // zero, negative, NaN
+    // A normal value = 1.f * 2^(e - 1023), which frexp writes as
+    // (0.5 + f/2) * 2^(e - 1022); the sub-bucket (f/2 * 8) is the top
+    // two fraction bits. So bits >> 50 is 4 * e + sub (the sign bit is
+    // 0), and the index is that shifted by the range's lower exponent.
+    // Subnormals (e = 0) land below the range and +inf (e = 0x7FF)
+    // above it, so the clamp sends them to the edge buckets.
+    static_assert(kSubBuckets == 4, "two fraction bits per octave");
+    const auto bits = std::bit_cast<std::uint64_t>(value);
+    const int idx =
+        static_cast<int>(bits >> 50) - (1022 + kMinExp) * kSubBuckets;
     return std::clamp(idx, 0, kBucketCount - 1);
 }
 

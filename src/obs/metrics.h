@@ -13,20 +13,21 @@
  *
  * Hot-path cost: components resolve their metrics by name once, at
  * construction, and then bump plain integers/doubles through the held
- * reference. Recording into a histogram is a frexp plus an array
- * increment -- no allocation, no locking (a Simulation is
- * single-threaded by construction).
+ * reference. Recording into a histogram is a shift of the value's
+ * IEEE-754 bits plus an array increment -- no libm call, no
+ * allocation, no locking (a Simulation is single-threaded by
+ * construction).
  */
 
 #ifndef TREADMILL_OBS_METRICS_H_
 #define TREADMILL_OBS_METRICS_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
-#include <vector>
 
 #include "util/json.h"
 
@@ -60,16 +61,15 @@ class Gauge
  * A log-bucketed histogram of non-negative values.
  *
  * Buckets are geometric with four sub-buckets per octave (~9% relative
- * width), covering [2^-10, 2^40) -- microsecond latencies from
- * sub-nanosecond to ~12 days. Values outside the range clamp to the
+ * width), covering [2^-11, 2^39) -- microsecond latencies from
+ * sub-nanosecond to ~6 days. Values outside the range clamp to the
  * edge buckets; exact min/max/sum are tracked alongside so means are
- * exact and quantiles are clamped into [min, max].
+ * exact and quantiles are clamped into [min, max]. Storage is inline
+ * and fixed (about 1.6 KB) however many values are recorded.
  */
 class Histogram
 {
   public:
-    Histogram();
-
     /** Record one observation (negative values clamp to zero). */
     void record(double value);
 
@@ -85,20 +85,27 @@ class Histogram
      */
     double quantile(double q) const;
 
-  private:
     static constexpr int kSubBuckets = 4;   ///< Per octave.
-    static constexpr int kMinExp = -10;     ///< 2^-10 lower bound.
-    static constexpr int kMaxExp = 40;      ///< 2^40 upper bound.
+    /** frexp exponents of the first octave and one past the last:
+     *  the range is [2^(kMinExp-1), 2^(kMaxExp-1)). */
+    static constexpr int kMinExp = -10;
+    static constexpr int kMaxExp = 40;
     static constexpr int kBucketCount =
         (kMaxExp - kMinExp) * kSubBuckets;
 
-    /** Bucket index for @p value (clamped into range). */
+    /**
+     * Bucket index for @p value, clamped into range: the same index
+     * frexp's mantissa/exponent split gives, read straight from the
+     * IEEE-754 bits. Zero, negatives, NaN and subnormals map to bucket
+     * 0, +inf to the last bucket.
+     */
     static int bucketFor(double value);
 
+  private:
     /** Midpoint of bucket @p idx. */
     static double bucketMid(int idx);
 
-    std::vector<std::uint64_t> buckets;
+    std::array<std::uint64_t, kBucketCount> buckets{};
     std::uint64_t observations = 0;
     double total = 0.0;
     double minSeen = 0.0;

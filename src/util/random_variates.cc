@@ -143,7 +143,7 @@ zeta(std::uint64_t n, double s)
 
 } // namespace
 
-Zipf::Zipf(std::uint64_t n_, double s_) : n(n_), s(s_)
+Zipf::Zipf(std::uint64_t n_, double s_) : n(n_)
 {
     if (n_ == 0)
         throw ConfigError(
@@ -155,6 +155,7 @@ Zipf::Zipf(std::uint64_t n_, double s_) : n(n_), s(s_)
     zetaN = zeta(n_, s_);
     zeta2 = zeta(std::min<std::uint64_t>(2, n_), s_);
     alpha = 1.0 / (1.0 - s_);
+    rankOneBound = 1.0 + std::pow(0.5, s_);
     eta = (1.0 - std::pow(2.0 / static_cast<double>(n_), 1.0 - s_)) /
           (1.0 - zeta2 / zetaN);
 }
@@ -167,7 +168,7 @@ Zipf::sample(Rng &rng) const
     const double uz = u * zetaN;
     if (uz < 1.0)
         return 0;
-    if (uz < 1.0 + std::pow(0.5, s))
+    if (uz < rankOneBound)
         return 1;
     const auto rank = static_cast<std::uint64_t>(
         static_cast<double>(n) * std::pow(eta * u - eta + 1.0, alpha));

@@ -140,11 +140,11 @@ class Zipf
 
   private:
     std::uint64_t n;
-    double s;
     double zetaN;
     double zeta2;
     double alpha;
     double eta;
+    double rankOneBound; ///< 1 + 2^-s: uz below it draws rank 1.
 };
 
 /**

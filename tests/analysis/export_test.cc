@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "util/random_variates.h"
 
 namespace treadmill {
@@ -38,6 +40,54 @@ TEST(ExportTest, ExperimentResultSerializes)
 
     // The document is valid JSON text end to end.
     EXPECT_EQ(json::parse(doc.dump()), doc);
+}
+
+TEST(ExportTest, ComponentSummariesMatchExactValues)
+{
+    // Exact means and sample quantiles (R type 7) of this run's
+    // per-request component logs, captured before the logs became
+    // histograms. Counts and means stay exact; each exported quantile
+    // must land within one bucket of the exact one.
+    struct Exact {
+        const char *name;
+        double mean;
+        double quantiles[5]; // p500, p900, p950, p990, p999
+    };
+    const Exact exact[] = {
+        {"server",
+         0x1.457a86039646fp+4,
+         {0x1.f10e560418937p+3, 0x1.0010624dd2f1bp+5, 0x1.6bdd2f1a9fbe7p+5,
+          0x1.7e8d4fdf3b646p+6, 0x1.80804ea4a8bap+7}},
+        {"network",
+         0x1.4afb6268e0583p+2,
+         {0x1.478d4fdf3b646p+2, 0x1.54189374bc6a8p+2, 0x1.583126e978d5p+2,
+          0x1.6126e978d4fdfp+2, 0x1.6d4fdf3b645a2p+2}},
+        {"client",
+         0x1.01d131f221935p+5,
+         {0x1.019999999999ap+5, 0x1.019999999999ap+5, 0x1.019999999999ap+5,
+          0x1.085604189374cp+5, 0x1.0b20c49ba5e35p+5}},
+    };
+    const char *keys[] = {"p500", "p900", "p950", "p990", "p999"};
+
+    const auto result = runSmall();
+    const json::Value doc = toJson(result);
+    for (const Exact &e : exact) {
+        SCOPED_TRACE(e.name);
+        const json::Value &c = doc.at("components").at(e.name);
+        EXPECT_EQ(c.at("count").asInt(), 5601);
+        EXPECT_EQ(c.at("mean_us").asNumber(), e.mean);
+        for (int k = 0; k < 5; ++k) {
+            const double got = c.at("quantiles_us").at(keys[k]).asNumber();
+            EXPECT_LE(std::abs(obs::Histogram::bucketFor(got) -
+                               obs::Histogram::bucketFor(e.quantiles[k])),
+                      1)
+                << keys[k] << " " << got << " vs " << e.quantiles[k];
+            EXPECT_LE(std::abs(std::log2(got / e.quantiles[k])), 0.25)
+                << keys[k] << " " << got << " vs " << e.quantiles[k];
+        }
+    }
+    EXPECT_EQ(doc.at("components").at("server").at("mean_us").asNumber(),
+              result.serverComponentUs.mean());
 }
 
 TEST(ExportTest, InstanceFieldsPresent)

@@ -4,8 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <limits>
+#include <type_traits>
+#include <vector>
+
 #include "util/error.h"
 #include "util/json.h"
+#include "util/rng.h"
 
 namespace treadmill {
 namespace obs {
@@ -93,6 +102,77 @@ TEST(MetricsTest, HistogramClampsNegativeAndExtremeValues)
     EXPECT_DOUBLE_EQ(h.min(), 0.0);
     EXPECT_DOUBLE_EQ(h.max(), 1e30);
     EXPECT_LE(h.quantile(0.5), 1e30);
+}
+
+// A histogram's storage is inline and fixed: trivially copyable means
+// no member owns heap memory, so recording more values cannot grow it.
+// ExperimentResult's decomposition summaries rely on this.
+static_assert(std::is_trivially_copyable_v<Histogram>);
+static_assert(sizeof(Histogram) < 2048);
+
+/** The frexp formulation Histogram::bucketFor replaced, with +inf
+ *  sent to the top bucket (frexp leaves its exponent unspecified). */
+int
+frexpBucket(double value)
+{
+    if (!(value > 0.0))
+        return 0;
+    if (std::isinf(value))
+        return Histogram::kBucketCount - 1;
+    int exp = 0;
+    const double mantissa = std::frexp(value, &exp); // in [0.5, 1)
+    const int sub = static_cast<int>((mantissa - 0.5) *
+                                     (2.0 * Histogram::kSubBuckets));
+    const int idx = (exp - Histogram::kMinExp) * Histogram::kSubBuckets +
+                    std::clamp(sub, 0, Histogram::kSubBuckets - 1);
+    return std::clamp(idx, 0, Histogram::kBucketCount - 1);
+}
+
+TEST(MetricsTest, BucketForMatchesFrexpOnEdgeValues)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    std::vector<double> values = {
+        0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 3.0, 1e30, -1e30,
+        std::numeric_limits<double>::denorm_min(),
+        DBL_MIN / 2.0, std::nextafter(DBL_MIN, 0.0), DBL_MIN,
+        std::nextafter(DBL_MIN, 1.0), DBL_MAX, -DBL_MAX, inf, -inf,
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN(),
+    };
+    // Every bucket boundary -- including the range edges 2^-10 and
+    // 2^40 -- and one ulp either side of it.
+    for (int exp = Histogram::kMinExp - 1; exp <= Histogram::kMaxExp + 1;
+         ++exp) {
+        for (int sub = 0; sub < Histogram::kSubBuckets; ++sub) {
+            const double edge = std::ldexp(
+                0.5 + sub / (2.0 * Histogram::kSubBuckets), exp + 1);
+            values.push_back(edge);
+            values.push_back(std::nextafter(edge, 0.0));
+            values.push_back(std::nextafter(edge, inf));
+        }
+    }
+    EXPECT_NE(std::find(values.begin(), values.end(), std::ldexp(1.0, -10)),
+              values.end());
+    EXPECT_NE(std::find(values.begin(), values.end(), std::ldexp(1.0, 40)),
+              values.end());
+    for (double v : values)
+        EXPECT_EQ(Histogram::bucketFor(v), frexpBucket(v)) << v;
+    EXPECT_EQ(Histogram::bucketFor(inf), Histogram::kBucketCount - 1);
+    EXPECT_EQ(Histogram::bucketFor(DBL_MIN), 0);
+    EXPECT_EQ(Histogram::bucketFor(std::ldexp(1.0, 40)),
+              Histogram::kBucketCount - 1);
+}
+
+TEST(MetricsTest, BucketForMatchesFrexpOnRandomBitPatterns)
+{
+    Rng rng(20240613);
+    int mismatches = 0;
+    for (int i = 0; i < 10'000'000; ++i) {
+        const double v = std::bit_cast<double>(rng.next());
+        if (Histogram::bucketFor(v) != frexpBucket(v) && ++mismatches < 5)
+            ADD_FAILURE() << "bucket mismatch for " << v;
+    }
+    EXPECT_EQ(mismatches, 0);
 }
 
 TEST(MetricsTest, SnapshotShape)

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <vector>
 
+#include "util/checksum.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -213,6 +214,33 @@ TEST(ZipfTest, RankZeroIsMostPopular)
     EXPECT_GT(counts[0], counts[10]);
     EXPECT_GT(counts[0], counts[100]);
     EXPECT_GT(counts[10], counts[500]);
+}
+
+TEST(ZipfTest, DrawsArePinned)
+{
+    // FNV-1a of 100k draws per (n, s, seed), captured before the
+    // rank-one bound moved from sample() into the constructor; any
+    // change to the draw arithmetic shows up here.
+    struct Case {
+        std::uint64_t n;
+        double s;
+        std::uint64_t seed;
+        std::uint64_t hash;
+    };
+    for (const Case &c : {Case{100000, 0.99, 2024, 0x877a319390ff40ddULL},
+                          Case{1000, 0.5, 7, 0x9ec86798b64b4d3dULL},
+                          Case{50, 1.5, 9, 0x38eac6416bcd2ddcULL}}) {
+        Rng rng(c.seed);
+        Zipf z(c.n, c.s);
+        std::vector<std::uint64_t> draws;
+        draws.reserve(100000);
+        for (int i = 0; i < 100000; ++i)
+            draws.push_back(z.sample(rng));
+        EXPECT_EQ(fnv1a64(draws.data(),
+                          draws.size() * sizeof(std::uint64_t)),
+                  c.hash)
+            << "n=" << c.n << " s=" << c.s;
+    }
 }
 
 TEST(ZipfTest, RejectsDegenerateParameters)
