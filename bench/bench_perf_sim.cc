@@ -1,19 +1,25 @@
 /**
  * @file
  * Performance microbenchmarks for the simulation substrate: event
- * queue throughput and a complete small load-test experiment. The
- * attribution pipeline runs hundreds of experiments, so end-to-end
- * experiment cost is the budget that matters.
+ * queue throughput, a request-shaped schedule-and-fire cycle, the KV
+ * store's operation mix, and a complete small load-test experiment.
+ * The attribution pipeline runs hundreds of experiments, so
+ * end-to-end experiment cost is the budget that matters.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "core/experiment.h"
 #include "exec/parallel_for.h"
+#include "server/kvstore.h"
+#include "server/request.h"
 #include "sim/event_queue.h"
 #include "sim/simulation.h"
+#include "util/random_variates.h"
+#include "util/rng.h"
 
 using namespace treadmill;
 
@@ -69,6 +75,97 @@ BENCHMARK(BM_EventQueueCancelWithPendingTimeouts)
     ->RangeMultiplier(10)
     ->Range(1000, 100000)
     ->Complexity(benchmark::o1);
+
+/** Schedule the next hop of a request chain: the event owns the
+ *  request handle and moves it on when it fires, like the client and
+ *  harness closures on the request path. */
+void
+scheduleHop(sim::Simulation &sim, server::RequestPtr request,
+            std::uint64_t &fired)
+{
+    const SimDuration delay = 1000 + (request->seqId * 7919) % 1000;
+    sim.schedule(delay, [&sim, &fired,
+                         request = std::move(request)]() mutable {
+        ++fired;
+        ++request->seqId;
+        scheduleHop(sim, std::move(request), fired);
+    });
+}
+
+/**
+ * One schedule + fire of an event capturing a server::RequestPtr (a
+ * non-trivially-relocatable closure, the shape of the client send,
+ * kernel and receive events), against a standing backlog of 1024
+ * pending request chains so every push and pop sifts a realistic
+ * heap.
+ */
+void
+BM_ScheduleFireNonTrivial(benchmark::State &state)
+{
+    sim::Simulation sim;
+    server::RequestPool pool;
+    std::uint64_t fired = 0;
+    for (std::uint64_t i = 0; i < 1024; ++i) {
+        auto request = pool.make();
+        request->seqId = i;
+        scheduleHop(sim, std::move(request), fired);
+    }
+    for (auto _ : state)
+        benchmark::DoNotOptimize(sim.step());
+    benchmark::DoNotOptimize(fired);
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ScheduleFireNonTrivial);
+
+/**
+ * The Memcached model's store traffic: 95% GET (find) / 5% SET over a
+ * Zipf(0.99) stream of 100k keys with 16-215 byte values, replayed
+ * from a pre-drawn 64k-operation tape against a store warmed by one
+ * pass of that tape (GETs of keys no SET has stored yet miss, as in
+ * a simulated run).
+ */
+void
+BM_KvStoreMixed(benchmark::State &state)
+{
+    struct Op {
+        std::string key;
+        std::uint32_t valueBytes;
+        bool set;
+    };
+    constexpr std::size_t kTape = 1 << 16;
+    Rng rng(0x6b7673746f7265ull);
+    const Zipf zipf(100000, 0.99);
+    std::vector<Op> tape;
+    tape.reserve(kTape);
+    for (std::size_t i = 0; i < kTape; ++i) {
+        Op op;
+        op.key = "key:" + std::to_string(zipf.sample(rng));
+        op.valueBytes = 16 + static_cast<std::uint32_t>(rng.nextBelow(200));
+        op.set = rng.nextDouble() < 0.05;
+        tape.push_back(std::move(op));
+    }
+    server::KvStore kv;
+    std::uint64_t hitBytes = 0;
+    const auto apply = [&kv, &hitBytes](const Op &op) {
+        if (op.set) {
+            kv.set(op.key, op.valueBytes, 'v');
+        } else {
+            const auto value = kv.find(op.key);
+            hitBytes += value ? value->size() : 0;
+        }
+    };
+    for (const Op &op : tape)
+        apply(op);
+
+    std::size_t i = 0;
+    for (auto _ : state) {
+        apply(tape[i]);
+        benchmark::DoNotOptimize(hitBytes);
+        i = (i + 1) & (kTape - 1);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_KvStoreMixed);
 
 void
 BM_SimulationEventChain(benchmark::State &state)

@@ -12,6 +12,13 @@ namespace core {
 
 namespace {
 
+const sim::EventKind kSendEvent("client.send");
+const sim::EventKind kTimeoutEvent("client.timeout");
+const sim::EventKind kRetryEvent("client.retry");
+const sim::EventKind kHedgeEvent("client.hedge");
+const sim::EventKind kKernelEvent("client.kernel");
+const sim::EventKind kReceiveEvent("client.receive");
+
 /** Connection ids are unique across instances. */
 std::uint64_t
 globalConnectionId(std::size_t instance, std::uint64_t local)
@@ -175,8 +182,8 @@ LoadTesterInstance::transmitAttempt(server::RequestPtr request)
         static_cast<SimDuration>(microseconds(cfg.sendCostUs));
     cpuFreeAt = startProcessing + cost;
     cpuBusy += cost;
-    sim.countEvent("client.send");
-    sim.scheduleAt(cpuFreeAt, [this, request] {
+    sim.countEvent(kSendEvent);
+    sim.scheduleAt(cpuFreeAt, [this, request = std::move(request)]() mutable {
         request->clientSend = sim.now();
         // Send slip: how far the actual send drifted from the
         // open-loop schedule (the client-queueing bias, Fig 3).
@@ -186,32 +193,35 @@ LoadTesterInstance::transmitAttempt(server::RequestPtr request)
             sendSlipHist.record(
                 toMicros(request->clientSend - request->intendedSend));
         }
-        transmit(request);
+        const std::uint64_t logicalId = request->logicalSeqId;
+        const std::uint32_t attempt = request->attempt;
+        const bool hedged = request->hedged;
+        transmit(std::move(request));
         if (cfg.resilience.enabled)
-            armAttempt(request);
+            armAttempt(logicalId, attempt, hedged);
     });
 }
 
 void
-LoadTesterInstance::armAttempt(const server::RequestPtr &request)
+LoadTesterInstance::armAttempt(std::uint64_t logicalId,
+                               std::uint32_t attempt, bool hedged)
 {
-    const auto it = pending.find(request->logicalSeqId);
+    const auto it = pending.find(logicalId);
     if (it == pending.end())
         return; // Answered while this attempt queued on the CPU.
     PendingState &state = it->second;
     const ResiliencePolicy &res = cfg.resilience;
-    const std::uint64_t logicalId = request->logicalSeqId;
 
     // The per-attempt timeout runs from the actual send instant.
     // Hedges carry no timeout of their own; the primary attempt's
     // timeout (and retry budget) stays authoritative.
-    if (!request->hedged && res.timeoutUs > 0.0) {
+    if (!hedged && res.timeoutUs > 0.0) {
         state.timeoutEvent = sim.schedule(
             static_cast<SimDuration>(microseconds(res.timeoutUs)),
             [this, logicalId] { onTimeout(logicalId); });
     }
 
-    if (request->attempt == 0 && !request->hedged && res.hedge) {
+    if (attempt == 0 && !hedged && res.hedge) {
         double delayUs = res.hedgeDelayUs;
         if (delayUs <= 0.0) {
             // Derive the hedge delay from the running latency
@@ -245,7 +255,7 @@ LoadTesterInstance::onTimeout(std::uint64_t logicalId)
     }
     ++timeoutCount;
     timeoutsCounter.add();
-    sim.countEvent("client.timeout");
+    sim.countEvent(kTimeoutEvent);
     const ResiliencePolicy &res = cfg.resilience;
     const std::uint64_t logical = it->first;
 
@@ -311,7 +321,7 @@ LoadTesterInstance::onRetryTimer(std::uint64_t logicalId)
     state.retryEvent = 0;
     ++retryCount;
     retriesCounter.add();
-    sim.countEvent("client.retry");
+    sim.countEvent(kRetryEvent);
     transmitAttempt(cloneAttempt(state, /*hedged=*/false));
 }
 
@@ -328,7 +338,7 @@ LoadTesterInstance::onHedgeTimer(std::uint64_t logicalId)
     state.hedgeSent = true;
     ++hedgeCount;
     hedgesCounter.add();
-    sim.countEvent("client.hedge");
+    sim.countEvent(kHedgeEvent);
     transmitAttempt(cloneAttempt(state, /*hedged=*/true));
 }
 
@@ -364,8 +374,8 @@ LoadTesterInstance::onResponseDelivered(server::RequestPtr request)
     // offset the paper observes between tcpdump and tester curves.
     const auto kernel =
         static_cast<SimDuration>(microseconds(cfg.kernelDelayUs));
-    sim.countEvent("client.kernel");
-    sim.schedule(kernel, [this, request = std::move(request)] {
+    sim.countEvent(kKernelEvent);
+    sim.schedule(kernel, [this, request = std::move(request)]() mutable {
         // Response callback executes on the client CPU (inline, as
         // with wangle, but it still queues if the CPU is busy).
         const SimTime startProcessing = std::max(sim.now(), cpuFreeAt);
@@ -373,8 +383,8 @@ LoadTesterInstance::onResponseDelivered(server::RequestPtr request)
             static_cast<SimDuration>(microseconds(cfg.receiveCostUs));
         cpuFreeAt = startProcessing + cost;
         cpuBusy += cost;
-        sim.countEvent("client.receive");
-        sim.scheduleAt(cpuFreeAt, [this, request] {
+        sim.countEvent(kReceiveEvent);
+        sim.scheduleAt(cpuFreeAt, [this, request = std::move(request)] {
             request->clientReceive = sim.now();
 
             if (cfg.resilience.enabled) {

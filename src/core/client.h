@@ -17,7 +17,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -29,6 +28,7 @@
 #include "obs/span.h"
 #include "server/request.h"
 #include "sim/simulation.h"
+#include "util/inline_function.h"
 #include "util/rng.h"
 
 namespace treadmill {
@@ -121,7 +121,14 @@ class LoadTesterInstance
 {
   public:
     /** Hands a fully built request to the harness for transmission. */
-    using TransmitFn = std::function<void(server::RequestPtr)>;
+    using TransmitFn = util::InlineFunction<void(server::RequestPtr), 24>;
+    /** Observes each fully processed response (see
+     *  setCompletionHook()). */
+    using CompletionHook =
+        util::InlineFunction<void(const server::RequestPtr &), 16>;
+    /** Consumes each completed span (see setSpanSink()). */
+    using SpanSink =
+        util::InlineFunction<void(const obs::SpanTrace &), 16>;
 
     /**
      * @param sim Owning simulation.
@@ -189,8 +196,7 @@ class LoadTesterInstance
      * processed and sampled (used by the experiment harness for
      * latency decomposition and stop conditions).
      */
-    void setCompletionHook(
-        std::function<void(const server::RequestPtr &)> hook)
+    void setCompletionHook(CompletionHook hook)
     {
         completionHook = std::move(hook);
     }
@@ -201,7 +207,7 @@ class LoadTesterInstance
      * ClientParams::recordSpans is set; the SpanTrace argument is a
      * scratch object reused across calls -- copy it if retained.
      */
-    void setSpanSink(std::function<void(const obs::SpanTrace &)> sink)
+    void setSpanSink(SpanSink sink)
     {
         spanSink = std::move(sink);
     }
@@ -240,8 +246,10 @@ class LoadTesterInstance
     /** Occupy the client CPU, then transmit @p request. */
     void transmitAttempt(server::RequestPtr request);
 
-    /** Arm the timeout (and, for first attempts, the hedge timer). */
-    void armAttempt(const server::RequestPtr &request);
+    /** Arm the timeout (and, for first attempts, the hedge timer) of
+     *  an attempt of @p logicalId that just left the client. */
+    void armAttempt(std::uint64_t logicalId, std::uint32_t attempt,
+                    bool hedged);
 
     /** An attempt of @p logicalId hit its timeout. */
     void onTimeout(std::uint64_t logicalId);
@@ -289,8 +297,8 @@ class LoadTesterInstance
     std::uint64_t failedCount = 0;
     std::uint64_t lateCount = 0;
     std::vector<std::uint64_t> outstandingCounts;
-    std::function<void(const server::RequestPtr &)> completionHook;
-    std::function<void(const obs::SpanTrace &)> spanSink;
+    CompletionHook completionHook;
+    SpanSink spanSink;
     /** Reused span buffer: recordSpan fills it in place, so span
      *  emission allocates nothing on the hot path. */
     obs::SpanTrace spanScratch;

@@ -17,10 +17,10 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "sim/simulation.h"
+#include "util/inline_function.h"
 #include "util/random_variates.h"
 #include "util/rng.h"
 #include "util/types.h"
@@ -40,7 +40,7 @@ enum class ControlLoop { OpenLoop, ClosedLoop };
 class LoadController
 {
   public:
-    using IssueFn = std::function<void(SimTime intendedSend)>;
+    using IssueFn = util::InlineFunction<void(SimTime intendedSend), 16>;
 
     virtual ~LoadController() = default;
 

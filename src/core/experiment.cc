@@ -248,7 +248,7 @@ wireClusterTier(Harness *h)
                     h->backendService(b).receive(
                         std::move(request),
                         [h, b, respond = std::move(respond)](
-                            const server::RequestPtr &resp) {
+                            server::RequestPtr resp) mutable {
                             net::Packet out;
                             out.seqId = resp->seqId;
                             out.connectionId = resp->connectionId;
@@ -256,8 +256,10 @@ wireClusterTier(Harness *h)
                             out.kind = net::PacketKind::Response;
                             h->fabric->fromBackend(b).send(
                                 h->sim, out,
-                                [respond, resp](const net::Packet &) {
-                                    respond(resp);
+                                [respond = std::move(respond),
+                                 resp = std::move(resp)](
+                                    const net::Packet &) mutable {
+                                    respond(std::move(resp));
                                 });
                         });
                 });
@@ -399,7 +401,7 @@ runExperiment(const ExperimentParams &params)
                         request->nicArrival = harness->sim.now();
                         harness->service().receive(
                             std::move(request),
-                            [harness](const server::RequestPtr &resp) {
+                            [harness](server::RequestPtr resp) {
                                 // Response leaves the server NIC.
                                 net::Packet out;
                                 out.seqId = resp->seqId;
@@ -413,7 +415,8 @@ runExperiment(const ExperimentParams &params)
                                 harness->cluster->serverToClient(client)
                                     .send(harness->sim, out,
                                           [harness,
-                                           resp](const net::Packet &) {
+                                           resp = std::move(resp)](
+                                              const net::Packet &) mutable {
                                               resp->clientNicArrival =
                                                   harness->sim.now();
                                               harness
@@ -421,7 +424,7 @@ runExperiment(const ExperimentParams &params)
                                                       std::size_t>(
                                                       resp->clientIndex)]
                                                   ->onResponseDelivered(
-                                                      resp);
+                                                      std::move(resp));
                                           });
                             });
                     });

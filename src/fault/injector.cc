@@ -10,6 +10,8 @@ namespace fault {
 
 namespace {
 
+const sim::EventKind kApplyEvent("fault.apply");
+
 /** FNV-1a over @p s: a stable per-link sub-stream key, so each link's
  *  loss stream depends only on the run seed and the link's name. */
 std::uint64_t
@@ -119,7 +121,7 @@ FaultInjector::scheduleWindow(const FaultEvent &ev, SimTime start)
     const auto applied = [this] {
         ++appliedCount;
         appliedCounter.add();
-        sim.countEvent("fault.apply");
+        sim.countEvent(kApplyEvent);
     };
 
     switch (ev.kind) {

@@ -14,26 +14,25 @@ Core::Core(sim::Simulation &sim_, unsigned coreId, DurationFn durationOf_)
 }
 
 void
-Core::submit(WorkItem item)
+Core::submit(WorkItem &&item)
 {
-    queue.push_back(std::move(item));
+    // An idle core has an empty queue (completion starts the next
+    // waiting item before running its callback), so the item starts
+    // without a round trip through the ring.
     if (!executing)
-        startNext();
+        start(item);
+    else
+        queue.push_back(std::move(item));
 }
 
 void
-Core::startNext()
+Core::start(WorkItem &item)
 {
-    TM_ASSERT(!queue.empty(), "startNext on an empty core queue");
     executing = true;
-    WorkItem item = std::move(queue.front());
-    queue.pop_front();
-
-    const SimTime start = sim.now();
     const SimDuration duration = durationOf(id, item);
     totalBusy += duration;
 
-    currentStart = start;
+    currentStart = sim.now();
     currentDone = std::move(item.done);
     sim.schedule(duration, [this] {
         ++completedCount;
@@ -45,8 +44,10 @@ Core::startNext()
         // Start the next queued item before invoking the callback: the
         // callback may submit new work to this core, and it must queue
         // behind work that was already waiting.
-        if (!queue.empty())
-            startNext();
+        if (!queue.empty()) {
+            start(queue.front());
+            queue.pop_front();
+        }
         if (done)
             done(started, sim.now());
     });

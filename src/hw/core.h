@@ -11,7 +11,6 @@
 #define TREADMILL_HW_CORE_H_
 
 #include <cstdint>
-#include <functional>
 
 #include "sim/simulation.h"
 #include "util/inline_function.h"
@@ -24,8 +23,9 @@ namespace hw {
 /** One unit of CPU work with its completion callback. */
 struct WorkItem {
     /** Completion callback. Inline capacity of 64 bytes covers the
-     *  server-side closures (this + request handle + respond fn), so
-     *  submitting work never allocates. Move-only, like the queue. */
+     *  server-side closures (this + request handle + respond fn +
+     *  a flag), so submitting work never allocates. Move-only, like
+     *  the queue. */
     using DoneFn = util::InlineFunction<void(SimTime start, SimTime end), 64>;
 
     /** Frequency-scaled work (CPU cycles). */
@@ -47,8 +47,8 @@ class Core
 {
   public:
     /** Computes the wall-clock duration of an item started now. */
-    using DurationFn =
-        std::function<SimDuration(unsigned coreId, const WorkItem &)>;
+    using DurationFn = util::InlineFunction<
+        SimDuration(unsigned coreId, const WorkItem &), 16>;
 
     Core(sim::Simulation &sim, unsigned coreId, DurationFn durationOf);
 
@@ -57,7 +57,7 @@ class Core
     Core(Core &&) = default;
 
     /** Enqueue @p item; starts immediately if the core is idle. */
-    void submit(WorkItem item);
+    void submit(WorkItem &&item);
 
     /** True while an item is executing. */
     bool busy() const { return executing; }
@@ -75,8 +75,8 @@ class Core
     double utilization() const;
 
   private:
-    /** Begin executing the next queued item. */
-    void startNext();
+    /** Begin executing @p item (the core is idle). */
+    void start(WorkItem &item);
 
     sim::Simulation &sim;
     unsigned id;

@@ -44,7 +44,7 @@ Machine::governorTick()
 }
 
 void
-Machine::submit(unsigned coreId, WorkItem item)
+Machine::submit(unsigned coreId, WorkItem &&item)
 {
     TM_ASSERT(coreId < cores.size(), "core id out of range");
     cores[coreId]->submit(std::move(item));

@@ -49,7 +49,7 @@ class Machine
     Machine &operator=(const Machine &) = delete;
 
     /** Submit CPU work to core @p coreId. */
-    void submit(unsigned coreId, WorkItem item);
+    void submit(unsigned coreId, WorkItem &&item);
 
     /** @name Accessors
      * @{

@@ -170,14 +170,14 @@ LoadBalancer::dispatch(std::uint32_t b, server::RequestPtr request,
     hook.forward(
         std::move(request),
         [this, b, respond = std::move(respond)](
-            const server::RequestPtr &response) {
+            server::RequestPtr response) {
             --inflight[b];
             backendInflight[b]->set(
                 static_cast<double>(inflight[b]));
             // Reuse the freed slot at the earliest instant, then let
             // the response continue toward the client.
             drainQueue();
-            respond(response);
+            respond(std::move(response));
         });
 }
 

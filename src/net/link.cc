@@ -9,6 +9,12 @@
 namespace treadmill {
 namespace net {
 
+namespace {
+
+const sim::EventKind kDeliveryEvent("net.delivery");
+
+} // namespace
+
 Link::Link(sim::Simulation &sim_, std::string name, double gbps,
            SimDuration propagation_)
     : sim(sim_), linkName(std::move(name)),
@@ -74,7 +80,7 @@ Link::send(const Packet &packet, DeliveryFn onDelivered)
     const SimDuration effectivePropagation =
         faults ? propagation + faults->extraPropagation : propagation;
     const SimTime deliverAt = transmitterFreeAt + effectivePropagation;
-    sim.countEvent("net.delivery");
+    sim.countEvent(kDeliveryEvent);
     // Park the packet and its callback in the pool; the event then
     // captures 16 bytes and scheduling allocates nothing.
     const std::uint32_t slot =

@@ -5,6 +5,13 @@
 namespace treadmill {
 namespace server {
 
+namespace {
+
+const sim::EventKind kStallReleaseEvent("fault.stall_release");
+const sim::EventKind kWarmupDelayEvent("fault.warmup_delay");
+
+} // namespace
+
 ServiceFaultShim::ServiceFaultShim(sim::Simulation &sim_, Service &inner_,
                                    const std::string &scope)
     : sim(sim_), inner(inner_),
@@ -51,7 +58,7 @@ ServiceFaultShim::receive(RequestPtr request, RespondFn respond)
         // scheduling order.
         ++stalledCount;
         stalledCounter.add();
-        sim.countEvent("fault.stall_release");
+        sim.countEvent(kStallReleaseEvent);
         sim.scheduleAt(stallUntil, [this, request = std::move(request),
                                     respond = std::move(respond)]() mutable {
             receive(std::move(request), std::move(respond));
@@ -69,7 +76,7 @@ ServiceFaultShim::receive(RequestPtr request, RespondFn respond)
             static_cast<double>(warmupMaxPenalty) * remaining);
         ++warmupCount;
         warmupCounter.add();
-        sim.countEvent("fault.warmup_delay");
+        sim.countEvent(kWarmupDelayEvent);
         sim.schedule(penalty, [this, request = std::move(request),
                                respond = std::move(respond)]() mutable {
             inner.receive(std::move(request), std::move(respond));

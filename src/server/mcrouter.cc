@@ -87,12 +87,12 @@ McrouterServer::deserializeOnWorker(RequestPtr request, RespondFn respond,
             backendPool->receive(
                 std::move(request),
                 [this, respond = std::move(respond)](
-                    const RequestPtr &resp) mutable {
+                    RequestPtr resp) mutable {
                     // The instant the shard's response re-entered the
                     // router tier (span traces split fabric time from
                     // router egress on this stamp).
                     resp->routerReturn = machine.simulation().now();
-                    serializeOnWorker(resp, std::move(respond));
+                    serializeOnWorker(std::move(resp), std::move(respond));
                 });
             return;
         }
@@ -134,7 +134,7 @@ McrouterServer::serializeOnWorker(RequestPtr request, RespondFn respond)
         request->nicDeparture = end;
         metrics.onServed(*request, request->nicArrival,
                          request->workerStart, end);
-        respond(request);
+        respond(std::move(request));
     };
     machine.submit(coreId, std::move(work));
 }

@@ -93,18 +93,17 @@ MemcachedServer::executeOnWorker(RequestPtr request, RespondFn respond,
 
         // Perform the real hash-table operation.
         if (request->op == OpType::Set) {
-            kv.set(request->key,
-                   std::string(request->valueBytes, 'v'));
+            kv.set(request->key, request->valueBytes, 'v');
             request->hit = true;
             request->responseBytes = 48; // STORED + headers
         } else {
             // find() ticks the same counters and refreshes LRU order
             // like get(), without copying the value per GET.
-            const std::string *value = kv.find(request->key);
-            request->hit = value != nullptr;
+            const auto value = kv.find(request->key);
+            request->hit = value.has_value();
             request->responseBytes =
                 48 + static_cast<std::uint32_t>(
-                         value != nullptr ? value->size() : 0);
+                         value.has_value() ? value->size() : 0);
         }
 
         ++servedCount;
@@ -116,7 +115,7 @@ MemcachedServer::executeOnWorker(RequestPtr request, RespondFn respond,
             request->nicDeparture = end;
             metrics.onServed(*request, request->nicArrival, start, end);
         }
-        respond(request);
+        respond(std::move(request));
     };
     machine.submit(coreId, std::move(work));
 }

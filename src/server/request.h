@@ -12,10 +12,10 @@
 #define TREADMILL_SERVER_REQUEST_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 
+#include "util/inline_function.h"
 #include "util/pool.h"
 #include "util/types.h"
 
@@ -131,8 +131,13 @@ using RequestPtr = std::shared_ptr<Request>;
  */
 using RequestPool = util::Pool<Request>;
 
-/** Callback delivering a completed response. */
-using RespondFn = std::function<void(const RequestPtr &)>;
+/**
+ * Callback delivering a completed response; the request handle is
+ * passed on, not copied. Move-only and the size of a std::function:
+ * captures up to 24 bytes (the harness's response path) live inline,
+ * and a response callback nested in another's capture is boxed.
+ */
+using RespondFn = util::InlineFunction<void(RequestPtr), 24>;
 
 /**
  * Anything that accepts requests at its NIC and eventually responds.

@@ -58,7 +58,7 @@ SqlishServer::receive(RequestPtr request, RespondFn respond)
             ++servedCount;
             request->nicDeparture = end;
             metrics.onServed(*request, request->nicArrival, start, end);
-            respond(request);
+            respond(std::move(request));
         };
         machine.submit(workerCoreId, std::move(query));
     };

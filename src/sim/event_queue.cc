@@ -9,43 +9,38 @@
 namespace treadmill {
 namespace sim {
 
-std::uint32_t
-EventQueue::acquireSlot(EventFn fn)
+void
+EventQueue::addChunk()
 {
-    std::uint32_t idx;
-    if (freeHead != kNil) {
-        idx = freeHead;
-        freeHead = slots[idx].next;
-        slots[idx].next = kInUse;
-    } else {
-        idx = static_cast<std::uint32_t>(slots.size());
-        slots.emplace_back();
-    }
-    slots[idx].fn = std::move(fn);
-    return idx;
+    // tmlint:cold: runs once per kChunkSlots slots of high-water mark;
+    // a warm queue recycles slots through the free list
+    // tmlint:allow-next-line(hot-path-no-alloc): cold slot-chunk growth
+    chunks.push_back(std::make_unique<Slot[]>(kChunkSlots));
 }
 
 void
-EventQueue::retireSlot(std::uint32_t slot)
+EventQueue::killSlot(Slot &s)
 {
-    Slot &s = slots[slot];
     // Bumping the generation invalidates the outstanding id and the
     // heap entry in one store. Skip 0 on wrap so ids stay nonzero.
     if (++s.gen == 0)
         s.gen = 1;
-    s.next = freeHead;
-    freeHead = slot;
 }
 
-EventId
-EventQueue::push(SimTime when, EventFn fn)
+void
+EventQueue::freeSlot(std::uint32_t idx)
 {
-    const std::uint32_t slot = acquireSlot(std::move(fn));
-    const HeapEntry entry{when, nextSeq++, slot, slots[slot].gen};
+    Slot &s = slotAt(idx);
+    s.fn = nullptr;
+    s.next = freeHead;
+    freeHead = idx;
+}
+
+void
+EventQueue::enqueue(HeapEntry entry)
+{
     heap.push_back(entry); // Placeholder; siftUp writes the real path.
     siftUp(heap.size() - 1, entry);
-    ++liveCount;
-    return (static_cast<EventId>(slots[slot].gen) << 32) | slot;
 }
 
 void
@@ -114,36 +109,44 @@ EventQueue::nextTime()
     return heap.front().when;
 }
 
+std::uint32_t
+EventQueue::detachTop(SimTime &when)
+{
+    dropDeadTop();
+    TM_ASSERT(!heap.empty(), "firing from an empty event queue");
+    const HeapEntry top = heap.front();
+    when = top.when;
+    Slot &s = slotAt(top.slot);
+    killSlot(s);
+    s.next = kFiring;
+    --liveCount;
+    removeTop();
+    return top.slot;
+}
+
 EventFn
 EventQueue::pop(SimTime &when)
 {
-    dropDeadTop();
-    TM_ASSERT(!heap.empty(), "pop() on an empty event queue");
-    const HeapEntry top = heap.front();
-    when = top.when;
-    // Moving out leaves the slot's callback empty, so no extra
-    // destroy is needed before the slot is recycled.
-    EventFn fn = std::move(slots[top.slot].fn);
-    retireSlot(top.slot);
-    --liveCount;
-    removeTop();
+    const std::uint32_t idx = detachTop(when);
+    EventFn fn = std::move(slotAt(idx).fn);
+    freeSlot(idx);
     return fn;
 }
 
 bool
 EventQueue::cancel(EventId id)
 {
-    const std::uint32_t slot = static_cast<std::uint32_t>(id);
+    const std::uint32_t idx = static_cast<std::uint32_t>(id);
     const std::uint32_t gen = static_cast<std::uint32_t>(id >> 32);
-    if (slot >= slots.size())
+    if (idx >= slotCount)
         return false;
-    Slot &s = slots[slot];
+    Slot &s = slotAt(idx);
     if (s.next != kInUse || s.gen != gen)
         return false;
     // Destroy the callback now: a cancelled timeout must not keep its
     // captured request alive until the stale heap entry drains.
-    s.fn = EventFn();
-    retireSlot(slot);
+    killSlot(s);
+    freeSlot(idx);
     --liveCount;
     // The heap entry stays behind and is dropped lazily when it
     // reaches the top -- same cost model as the old hash-set scheme,
@@ -154,10 +157,11 @@ EventQueue::cancel(EventId id)
 void
 EventQueue::clear()
 {
-    for (std::uint32_t i = 0; i < slots.size(); ++i) {
-        if (slots[i].next == kInUse) {
-            slots[i].fn = EventFn();
-            retireSlot(i);
+    for (std::uint32_t i = 0; i < slotCount; ++i) {
+        Slot &s = slotAt(i);
+        if (s.next == kInUse) {
+            killSlot(s);
+            freeSlot(i);
         }
     }
     // Generations survive clear(), so ids issued before the clear can

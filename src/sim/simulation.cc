@@ -1,11 +1,32 @@
 #include "sim/simulation.h"
 
+#include <atomic>
 #include <string>
 
 #include "util/logging.h"
 
 namespace treadmill {
 namespace sim {
+
+namespace {
+
+/** Next EventKind index; kinds are constructed during static
+ *  initialization or as function-local statics, possibly on several
+ *  threads at once. */
+std::atomic<std::uint32_t> &
+nextKindIndex()
+{
+    static std::atomic<std::uint32_t> next{0};
+    return next;
+}
+
+} // namespace
+
+EventKind::EventKind(const char *name)
+    : kindName(name),
+      kindIndex(nextKindIndex().fetch_add(1, std::memory_order_relaxed))
+{
+}
 
 Simulation::Simulation()
     : scheduledCounter(&registry.counter("sim.events_scheduled")),
@@ -20,19 +41,10 @@ Simulation::~Simulation()
     detail::setSimClock(previousLogClock);
 }
 
-EventId
-Simulation::schedule(SimDuration delay, EventFn fn)
+void
+Simulation::failPastSchedule() const
 {
-    scheduledCounter->add();
-    return events.push(currentTime + delay, std::move(fn));
-}
-
-EventId
-Simulation::scheduleAt(SimTime when, EventFn fn)
-{
-    TM_ASSERT(when >= currentTime, "cannot schedule an event in the past");
-    scheduledCounter->add();
-    return events.push(when, std::move(fn));
+    panic("cannot schedule an event in the past");
 }
 
 bool
@@ -44,21 +56,17 @@ Simulation::cancel(EventId id)
     return cancelled;
 }
 
-void
-Simulation::countEvent(const char *type)
-{
-    auto it = typeCounters.find(type);
-    if (it == typeCounters.end())
-        it = typeCounters.emplace(type, &registerEventCounter(type)).first;
-    it->second->add();
-}
-
 obs::Counter &
-Simulation::registerEventCounter(const char *type)
+Simulation::registerEventCounter(const EventKind &kind)
 {
-    // tmlint:cold: runs once per event type; steady state takes the
-    // memoized typeCounters hit in countEvent()
-    return registry.counter(std::string("sim.events.") + type);
+    // tmlint:cold: runs once per event kind per simulation; steady
+    // state takes the kindCounters hit in countEvent()
+    if (kind.index() >= kindCounters.size())
+        kindCounters.resize(kind.index() + 1, nullptr);
+    obs::Counter &counter =
+        registry.counter(std::string("sim.events.") + kind.name());
+    kindCounters[kind.index()] = &counter;
+    return counter;
 }
 
 bool
@@ -66,13 +74,13 @@ Simulation::step()
 {
     if (stopping || events.empty())
         return false;
-    SimTime when = 0;
-    EventFn fn = events.pop(when);
-    TM_ASSERT(when >= currentTime, "event queue went backwards in time");
-    currentTime = when;
-    ++executed;
-    executedCounter->add();
-    fn();
+    events.fireNext([this](SimTime when) {
+        TM_ASSERT(when >= currentTime,
+                  "event queue went backwards in time");
+        currentTime = when;
+        ++executed;
+        executedCounter->add();
+    });
     return true;
 }
 

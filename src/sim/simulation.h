@@ -11,7 +11,8 @@
 #define TREADMILL_SIM_SIMULATION_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "sim/event_queue.h"
@@ -19,6 +20,34 @@
 
 namespace treadmill {
 namespace sim {
+
+/**
+ * A named kind of simulated event, counted per Simulation under
+ * "sim.events.<name>".
+ *
+ * Declare one per call site as a namespace-scope constant, e.g.
+ * `const sim::EventKind kSendEvent("client.send");`, and pass it to
+ * Simulation::countEvent(). Each kind takes a dense process-wide
+ * index at construction, so counting is an array index rather than a
+ * hash lookup; the per-Simulation counter is still registered on
+ * first use, so a run's metrics snapshot only names kinds that fired.
+ */
+class EventKind
+{
+  public:
+    /** @param name Stable string (a literal) naming the kind. */
+    explicit EventKind(const char *name);
+
+    EventKind(const EventKind &) = delete;
+    EventKind &operator=(const EventKind &) = delete;
+
+    const char *name() const { return kindName; }
+    std::uint32_t index() const { return kindIndex; }
+
+  private:
+    const char *kindName;
+    std::uint32_t kindIndex;
+};
 
 /**
  * Owns the virtual clock and the pending-event set and dispatches events
@@ -43,11 +72,26 @@ class Simulation
     /** Current virtual time. */
     SimTime now() const { return currentTime; }
 
-    /** Schedule @p fn to run @p delay after the current time. */
-    EventId schedule(SimDuration delay, EventFn fn);
+    /** Schedule @p fn to run @p delay after the current time. The
+     *  callable is built in place in its event slot. */
+    template <typename F>
+    EventId
+    schedule(SimDuration delay, F &&fn)
+    {
+        scheduledCounter->add();
+        return events.push(currentTime + delay, std::forward<F>(fn));
+    }
 
     /** Schedule @p fn at the absolute virtual time @p when (>= now). */
-    EventId scheduleAt(SimTime when, EventFn fn);
+    template <typename F>
+    EventId
+    scheduleAt(SimTime when, F &&fn)
+    {
+        if (when < currentTime) [[unlikely]]
+            failPastSchedule();
+        scheduledCounter->add();
+        return events.push(when, std::forward<F>(fn));
+    }
 
     /** Cancel a previously scheduled event. */
     bool cancel(EventId id);
@@ -86,17 +130,25 @@ class Simulation
     obs::MetricsRegistry &metrics() { return registry; }
     const obs::MetricsRegistry &metrics() const { return registry; }
 
-    /**
-     * Count one scheduled event of the named type ("client.send",
-     * "net.delivery") under "sim.events.<type>". The per-type counter
-     * is memoized by the literal's address, so call sites must pass
-     * string literals (or otherwise stable strings).
-     */
-    void countEvent(const char *type);
+    /** Count one scheduled event of @p kind ("client.send",
+     *  "net.delivery") under "sim.events.<kind>". */
+    void
+    countEvent(const EventKind &kind)
+    {
+        obs::Counter *counter = kind.index() < kindCounters.size()
+                                    ? kindCounters[kind.index()]
+                                    : nullptr;
+        if (counter == nullptr)
+            counter = &registerEventCounter(kind);
+        counter->add();
+    }
 
   private:
-    /** Slow path of countEvent(): first sighting of an event type. */
-    obs::Counter &registerEventCounter(const char *type);
+    /** Slow path of countEvent(): first sighting of an event kind. */
+    obs::Counter &registerEventCounter(const EventKind &kind);
+
+    /** scheduleAt() was handed a time before now(): panics. */
+    [[noreturn]] void failPastSchedule() const;
 
     EventQueue events;
     SimTime currentTime = 0;
@@ -107,8 +159,9 @@ class Simulation
     obs::Counter *scheduledCounter = nullptr;
     obs::Counter *executedCounter = nullptr;
     obs::Counter *cancelledCounter = nullptr;
-    /** Per-type event counters, memoized by literal address. */
-    std::unordered_map<const char *, obs::Counter *> typeCounters;
+    /** Per-kind event counters by EventKind::index(); null until the
+     *  kind first fires in this simulation. */
+    std::vector<obs::Counter *> kindCounters;
     /** The logging clock this Simulation replaced, restored on exit. */
     const std::uint64_t *previousLogClock = nullptr;
 };

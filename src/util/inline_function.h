@@ -33,8 +33,8 @@ class InlineFunction;
 /**
  * Move-only callable with @p InlineBytes of inline capture storage.
  *
- * Callables whose size fits InlineBytes (and whose alignment fits
- * max_align_t) live inside the object; larger ones are boxed on the
+ * Callables whose size fits InlineBytes (and whose alignment fits a
+ * pointer's) live inside the object; larger ones are boxed on the
  * heap. Invoking an empty InlineFunction is undefined (callers guard
  * with operator bool, mirroring std::function usage in this codebase).
  */
@@ -52,15 +52,22 @@ class InlineFunction<R(Args...), InlineBytes>
                   std::is_invocable_r_v<R, D &, Args...>>>
     InlineFunction(F &&fn)
     {
-        if constexpr (sizeof(D) <= InlineBytes &&
-                      alignof(D) <= alignof(std::max_align_t)) {
-            ::new (static_cast<void *>(storage)) D(std::forward<F>(fn));
-            ops = &InlineOps<D>::kOps;
-        } else {
-            *reinterpret_cast<D **>(storage) =
-                new D(std::forward<F>(fn));
-            ops = &HeapOps<D>::kOps;
-        }
+        construct(std::forward<F>(fn));
+    }
+
+    /** Replace the held callable, building @p fn directly in this
+     *  object's storage (no temporary InlineFunction, no relocation). */
+    template <typename F,
+              typename D = std::decay_t<F>,
+              typename = std::enable_if_t<
+                  !std::is_same_v<D, InlineFunction> &&
+                  std::is_invocable_r_v<R, D &, Args...>>>
+    InlineFunction &
+    operator=(F &&fn)
+    {
+        reset();
+        construct(std::forward<F>(fn));
+        return *this;
     }
 
     InlineFunction(InlineFunction &&other) noexcept
@@ -92,8 +99,16 @@ class InlineFunction<R(Args...), InlineBytes>
 
     explicit operator bool() const noexcept { return ops != nullptr; }
 
+    friend bool
+    operator==(const InlineFunction &fn, std::nullptr_t) noexcept
+    {
+        return !fn;
+    }
+
+    /** Invoke the held callable. Const like std::function's call
+     *  operator: the callable itself may be a mutable lambda. */
     R
-    operator()(Args... args)
+    operator()(Args... args) const
     {
         return ops->invoke(storage, std::forward<Args>(args)...);
     }
@@ -173,6 +188,26 @@ class InlineFunction<R(Args...), InlineBytes>
                                   false};
     };
 
+    /** Storage alignment: pointer-sized, so an InlineFunction nested
+     *  in another's capture (a completion callback holding a response
+     *  callback) packs without padding. Over-aligned callables are
+     *  boxed. */
+    static constexpr std::size_t kAlign = alignof(void *);
+
+    template <typename F, typename D = std::decay_t<F>>
+    void
+    construct(F &&fn)
+    {
+        if constexpr (sizeof(D) <= InlineBytes && alignof(D) <= kAlign) {
+            ::new (static_cast<void *>(storage)) D(std::forward<F>(fn));
+            ops = &InlineOps<D>::kOps;
+        } else {
+            *reinterpret_cast<D **>(storage) =
+                new D(std::forward<F>(fn));
+            ops = &HeapOps<D>::kOps;
+        }
+    }
+
     void
     reset() noexcept
     {
@@ -198,7 +233,7 @@ class InlineFunction<R(Args...), InlineBytes>
         }
     }
 
-    alignas(std::max_align_t) unsigned char storage[InlineBytes];
+    alignas(kAlign) mutable unsigned char storage[InlineBytes];
     const Ops *ops = nullptr;
 };
 

@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <string>
 
+#include "fault/plan.h"
 #include "stats/summary.h"
+#include "util/checksum.h"
 
 namespace treadmill {
 namespace core {
@@ -22,6 +26,142 @@ quickParams(double utilization)
     p.collector.measurementSamples = 1500;
     p.seed = 11;
     return p;
+}
+
+/** Append @p v to @p out as an exact hex float. */
+void
+appendExact(std::string &out, double v)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%a,", v);
+    out += buf;
+}
+
+void
+appendExact(std::string &out, std::uint64_t v)
+{
+    out += std::to_string(v);
+    out += ',';
+}
+
+void
+appendHistogram(std::string &out, const obs::Histogram &h)
+{
+    appendExact(out, h.count());
+    appendExact(out, h.sum());
+    appendExact(out, h.min());
+    appendExact(out, h.max());
+}
+
+/** Every byte of a result the simulator produces, in a fixed order:
+ *  the metrics snapshot, each instance's quantiles, samples and
+ *  counters, and the scalar and per-backend result fields. */
+std::string
+resultBytes(const ExperimentResult &r)
+{
+    std::string out = r.metrics.dump();
+    out += '|';
+    for (const InstanceReport &inst : r.instances) {
+        for (const auto &[q, v] : inst.quantiles) {
+            appendExact(out, q);
+            appendExact(out, v);
+        }
+        for (double v : inst.rawSamples)
+            appendExact(out, v);
+        for (std::uint64_t n : inst.outstandingAtSend)
+            appendExact(out, n);
+        appendExact(out, inst.cpuUtilization);
+        appendExact(out, inst.measured);
+        appendExact(out, std::uint64_t{inst.reachedTarget});
+        out += '|';
+    }
+    for (double v : r.groundTruthUs)
+        appendExact(out, v);
+    appendExact(out, r.targetRps);
+    appendExact(out, r.achievedRps);
+    appendExact(out, r.serverUtilization);
+    appendExact(out, r.frequencyTransitions);
+    appendExact(out, static_cast<std::uint64_t>(r.simulatedTime));
+    appendExact(out, std::uint64_t{r.deadlineHit});
+    appendExact(out, r.captureUnmatchedResponses);
+    appendExact(out, static_cast<std::uint64_t>(r.captureOutstanding));
+    for (std::uint64_t n : r.backendServed)
+        appendExact(out, n);
+    for (std::uint64_t n : r.backendDispatched)
+        appendExact(out, n);
+    appendExact(out, r.lbQueued);
+    appendExact(out, r.lbUnroutable);
+    appendExact(out, r.lbFailovers);
+    appendHistogram(out, r.serverComponentUs);
+    appendHistogram(out, r.networkComponentUs);
+    appendHistogram(out, r.clientComponentUs);
+    appendHistogram(out, r.getLatencyUs);
+    appendHistogram(out, r.setLatencyUs);
+    return out;
+}
+
+TEST(ExperimentTest, ResultBytesArePinned)
+{
+    // The simulator's event order is its output: any change to which
+    // events run, or to their (when, seq) order, moves these hashes.
+    // Hot-path refactors must leave both untouched.
+
+    // Memcached with every hardware factor at its high level.
+    auto hwOn = quickParams(0.6);
+    hwOn.config.numa = hw::NumaPolicy::Interleave;
+    hwOn.config.turbo = hw::TurboMode::On;
+    hwOn.config.dvfs = hw::DvfsGovernor::Performance;
+    hwOn.config.nic = hw::NicAffinity::AllNodes;
+    const auto memcached = runExperiment(hwOn);
+    EXPECT_EQ(fnv1a64(resultBytes(memcached)), 0xb8b44412c171d570ull);
+
+    // A 4-shard cluster with a stalled shard, a bounded dispatch
+    // queue, timeouts, retries, and hedges: every optional event
+    // kind (timeout, retry, hedge, cancel, lb queueing) fires.
+    ExperimentParams cl;
+    cl.kind = WorkloadKind::Mcrouter;
+    cl.targetUtilization = 0.5;
+    cl.collector.warmUpSamples = 100;
+    cl.collector.calibrationSamples = 100;
+    cl.collector.measurementSamples = 800;
+    cl.seed = 29;
+    cl.deadline = seconds(2);
+    cl.cluster.backends = 4;
+    cl.cluster.replication = 2;
+    cl.cluster.maxInflightPerBackend = 4;
+    cl.resilience.enabled = true;
+    cl.resilience.timeoutUs = 300.0;
+    cl.resilience.maxRetries = 2;
+    cl.resilience.hedge = true;
+    cl.resilience.hedgeDelayUs = 500.0;
+    fault::FaultEvent stall;
+    stall.kind = fault::FaultKind::ServerStall;
+    stall.backend = 2;
+    stall.start = milliseconds(2);
+    stall.duration = milliseconds(3);
+    stall.period = milliseconds(10);
+    stall.repeatCount = 20;
+    cl.faultPlan.events.push_back(stall);
+    const auto cluster = runExperiment(cl);
+    const json::Value &counters = cluster.metrics.at("counters");
+    for (const char *kind : {"timeout", "retry", "hedge"}) {
+        EXPECT_GT(counters.at(std::string("sim.events.client.") + kind)
+                      .asNumber(),
+                  0.0)
+            << kind;
+    }
+    EXPECT_GT(counters.at("sim.events_cancelled").asNumber(), 0.0);
+    EXPECT_GT(cluster.lbQueued, 0u);
+    EXPECT_EQ(fnv1a64(resultBytes(cluster)), 0x91e17854727889e6ull);
+
+    // Event counters register on first use: a run whose resilience
+    // policy is off never creates the client timeout/retry/hedge keys.
+    const json::Value &plain = memcached.metrics.at("counters");
+    for (const char *kind : {"timeout", "retry", "hedge"}) {
+        EXPECT_FALSE(
+            plain.contains(std::string("sim.events.client.") + kind))
+            << kind;
+    }
 }
 
 TEST(ExperimentTest, DeriveRequestRateScalesWithUtilization)

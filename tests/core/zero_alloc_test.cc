@@ -6,9 +6,11 @@
  * operator new/delete interposer (util/alloc_hook.cc) and asserts that
  * once the request pool, event-queue slots, and collector buffers are
  * warm, driving tens of thousands of requests through a load-tester
- * instance performs zero heap allocations. This pins the PR's central
- * claim -- the hot path is allocation-free in steady state -- as a
- * test rather than a benchmark observation.
+ * instance performs zero heap allocations, and that a whole experiment
+ * (client, links, server, KV store) allocates a number of times that
+ * does not grow with its request count. This pins the central claim
+ * -- the hot path is allocation-free in steady state -- as a test
+ * rather than a benchmark observation.
  */
 
 #include "core/client.h"
@@ -16,6 +18,8 @@
 #include <gtest/gtest.h>
 
 #include <vector>
+
+#include "core/experiment.h"
 
 #include "sim/simulation.h"
 #include "util/alloc_counter.h"
@@ -102,6 +106,47 @@ TEST(ZeroAllocTest, RequestPoolRecyclesInsteadOfAllocating)
         b->seqId = a->seqId + 1;
     }
     EXPECT_EQ(util::allocCount() - before, 0u);
+}
+
+/** Heap allocations of one whole Memcached experiment measuring
+ *  @p samples per instance; @p requests receives its wire sends. */
+std::uint64_t
+wholeRunAllocs(std::size_t samples, double &requests)
+{
+    ExperimentParams p;
+    p.targetUtilization = 0.5;
+    p.collector.warmUpSamples = 200;
+    p.collector.calibrationSamples = 200;
+    p.collector.measurementSamples = samples;
+    p.seed = 5;
+    const std::uint64_t before = util::allocCount();
+    const ExperimentResult result = runExperiment(p);
+    const std::uint64_t allocs = util::allocCount() - before;
+    requests =
+        result.metrics.at("counters").at("sim.events.client.send").asNumber();
+    return allocs;
+}
+
+TEST(ZeroAllocTest, WholeRunAllocationsDoNotGrowWithRequests)
+{
+    util::forceLinkAllocHook();
+    ASSERT_TRUE(util::allocCountingActive());
+
+    // Setup, harvest, and one-off growth (arenas, slot chunks, the KV
+    // store's working set, result vectors) cost the same in both runs
+    // or grow sublinearly; what is left is the per-request cost.
+    double shortRequests = 0.0;
+    double longRequests = 0.0;
+    const std::uint64_t shortAllocs = wholeRunAllocs(1000, shortRequests);
+    const std::uint64_t longAllocs = wholeRunAllocs(4000, longRequests);
+    ASSERT_GT(longRequests, shortRequests + 20000.0);
+    const double perRequest =
+        (static_cast<double>(longAllocs) -
+         static_cast<double>(shortAllocs)) /
+        (longRequests - shortRequests);
+    EXPECT_LE(perRequest, 0.002)
+        << longAllocs << " allocations for " << longRequests
+        << " requests vs " << shortAllocs << " for " << shortRequests;
 }
 
 } // namespace

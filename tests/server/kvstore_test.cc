@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <list>
+#include <string>
+#include <unordered_map>
+
+#include "util/rng.h"
+
 namespace treadmill {
 namespace server {
 namespace {
@@ -108,6 +114,95 @@ TEST(KvStoreTest, ManyKeysStressConsistency)
         std::string value;
         ASSERT_TRUE(kv.get("key" + std::to_string(i), &value));
         EXPECT_EQ(value, std::to_string(i));
+    }
+}
+
+TEST(KvStoreTest, FillSetWritesPayloadInPlace)
+{
+    KvStore kv;
+    kv.set("k", 40, 'v');
+    const auto value = kv.find("k");
+    ASSERT_TRUE(value.has_value());
+    EXPECT_EQ(*value, std::string(40, 'v'));
+    // Shrinking and regrowing reuse or replace the slot transparently.
+    kv.set("k", 3, 'x');
+    EXPECT_EQ(*kv.find("k"), "xxx");
+    kv.set("k", 1000, 'y');
+    EXPECT_EQ(*kv.find("k"), std::string(1000, 'y'));
+    EXPECT_EQ(kv.bytesStored(), 1000u);
+    EXPECT_FALSE(kv.find("absent").has_value());
+    EXPECT_EQ(kv.hits(), 3u);
+    EXPECT_EQ(kv.misses(), 1u);
+}
+
+/**
+ * Model check against the reference store this one replaced (a
+ * std::list in LRU order plus an unordered_map into it): a long
+ * random mix of sets, gets, erases and capacity evictions over a
+ * small key space, so the index wraps, collides and backward-shifts,
+ * must give identical hits, misses, values, sizes and evictions.
+ */
+TEST(KvStoreTest, MatchesListLruReference)
+{
+    struct Ref {
+        struct Entry {
+            std::string key;
+            std::string value;
+        };
+        std::list<Entry> lru;
+        std::unordered_map<std::string, std::list<Entry>::iterator> table;
+        std::uint64_t bytes = 0;
+        std::uint64_t evictions = 0;
+    };
+    constexpr std::uint64_t kCapacity = 6000;
+    KvStore kv(kCapacity);
+    Ref ref;
+    Rng rng(0x6b7673746f7265ull);
+    for (int op = 0; op < 200000; ++op) {
+        const std::string key =
+            "key:" + std::to_string(rng.nextBelow(300));
+        const double r = rng.nextDouble();
+        if (r < 0.3) {
+            const auto n = static_cast<std::size_t>(rng.nextBelow(120));
+            const char fill = static_cast<char>('a' + op % 26);
+            kv.set(key, n, fill);
+            const auto it = ref.table.find(key);
+            if (it != ref.table.end()) {
+                ref.bytes -= it->second->value.size();
+                it->second->value.assign(n, fill);
+                ref.lru.splice(ref.lru.begin(), ref.lru, it->second);
+            } else {
+                ref.lru.push_front({key, std::string(n, fill)});
+                ref.table[key] = ref.lru.begin();
+            }
+            ref.bytes += n;
+            while (ref.bytes > kCapacity && !ref.lru.empty()) {
+                ref.bytes -= ref.lru.back().value.size();
+                ref.table.erase(ref.lru.back().key);
+                ref.lru.pop_back();
+                ++ref.evictions;
+            }
+        } else if (r < 0.9) {
+            std::string got;
+            const bool hit = kv.get(key, &got);
+            const auto it = ref.table.find(key);
+            ASSERT_EQ(hit, it != ref.table.end()) << op;
+            if (hit) {
+                ASSERT_EQ(got, it->second->value) << op;
+                ref.lru.splice(ref.lru.begin(), ref.lru, it->second);
+            }
+        } else {
+            const auto it = ref.table.find(key);
+            ASSERT_EQ(kv.erase(key), it != ref.table.end()) << op;
+            if (it != ref.table.end()) {
+                ref.bytes -= it->second->value.size();
+                ref.lru.erase(it->second);
+                ref.table.erase(it);
+            }
+        }
+        ASSERT_EQ(kv.size(), ref.table.size()) << op;
+        ASSERT_EQ(kv.bytesStored(), ref.bytes) << op;
+        ASSERT_EQ(kv.evictions(), ref.evictions) << op;
     }
 }
 

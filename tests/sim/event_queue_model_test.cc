@@ -4,7 +4,8 @@
  *
  * A naive reference implementation (std::multimap keyed by time, which
  * preserves insertion order among equal keys) is driven with the same
- * randomized mix of push / cancel / pop operations as the real queue.
+ * randomized mix of push / cancel / fire operations as the real queue
+ * (firing runs each callback in place, as Simulation::step() does).
  * The queue must fire exactly the same payloads in exactly the same
  * order, including after slot recycling has wrapped generations many
  * times over.
@@ -76,17 +77,21 @@ TEST(EventQueueModelTest, MatchesReferenceOverMixedOps)
             live[pick] = live.back();
             live.pop_back();
         } else {
-            // Pop: the earliest (time, seq) live entry must fire.
+            // Fire: the earliest (time, seq) live entry must run.
             ASSERT_FALSE(model.empty());
             const auto first = model.begin();
             expectedPayload = first->second;
             havePop = false;
             SimTime when = 0;
-            auto fn = q.pop(when);
+            q.fireNext([&](SimTime w) {
+                // The event has left the queue before it runs.
+                EXPECT_FALSE(havePop);
+                EXPECT_EQ(q.size(), model.size() - 1);
+                when = w;
+            });
             ASSERT_EQ(when, first->first);
             ASSERT_GE(when, now);
             now = when;
-            fn();
             ASSERT_TRUE(havePop);
             ASSERT_EQ(fired, expectedPayload);
             // Drop the fired event from both live set and model.
@@ -116,7 +121,7 @@ TEST(EventQueueModelTest, MatchesReferenceOverMixedOps)
         expectedPayload = first->second;
         havePop = false;
         SimTime when = 0;
-        q.pop(when)();
+        q.fireNext([&when](SimTime w) { when = w; });
         ASSERT_EQ(when, first->first);
         ASSERT_TRUE(havePop);
         model.erase(first);

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "util/types.h"
@@ -127,6 +129,67 @@ TEST(SimulationTest, SameInstantEventsRunInScheduleOrder)
         sim.schedule(100, [&order, i] { order.push_back(i); });
     sim.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+// The firing callback runs in place in its event slot: scheduling
+// enough events to add slot chunks must not move the running
+// closure's captures out from under it.
+TEST(SimulationTest, FiringCallbackKeepsItsCapturesAcrossSlotGrowth)
+{
+    Simulation sim;
+    int fired = 0;
+    bool checked = false;
+    const std::uint64_t a = 0x0123456789abcdefull;
+    const std::uint64_t b = 0xfedcba9876543210ull;
+    const std::uint64_t c = 0x5555aaaa5555aaaaull;
+    sim.schedule(10, [&sim, &fired, &checked, a, b, c] {
+        for (int i = 0; i < 600; ++i)
+            sim.schedule(1 + static_cast<SimDuration>(i), [&fired] {
+                ++fired;
+            });
+        EXPECT_EQ(a, 0x0123456789abcdefull);
+        EXPECT_EQ(b, 0xfedcba9876543210ull);
+        EXPECT_EQ(c, 0x5555aaaa5555aaaaull);
+        checked = true;
+    });
+    sim.run();
+    EXPECT_TRUE(checked);
+    EXPECT_EQ(fired, 600);
+}
+
+TEST(SimulationTest, FiringEventCannotCancelItself)
+{
+    Simulation sim;
+    EventId self = 0;
+    bool cancelled = true;
+    self = sim.schedule(5, [&] { cancelled = sim.cancel(self); });
+    sim.run();
+    EXPECT_FALSE(cancelled);
+    EXPECT_EQ(sim.metrics().counter("sim.events_cancelled").value(), 0u);
+    // The id stays dead after the event has fired.
+    EXPECT_FALSE(sim.cancel(self));
+}
+
+TEST(SimulationTest, FiredCallbackReleasesItsCaptureExactlyOnce)
+{
+    Simulation sim;
+    int deletes = 0;
+    long useCountWhileFiring = 0;
+    {
+        std::shared_ptr<int> token(new int(7), [&deletes](int *p) {
+            ++deletes;
+            delete p;
+        });
+        sim.schedule(5, [token, &useCountWhileFiring] {
+            useCountWhileFiring = token.use_count();
+        });
+    }
+    EXPECT_EQ(deletes, 0);
+    sim.run();
+    // Only the slot's copy existed while firing, and it was destroyed
+    // once the callback returned.
+    EXPECT_EQ(useCountWhileFiring, 1);
+    EXPECT_EQ(deletes, 1);
 }
 
 } // namespace
