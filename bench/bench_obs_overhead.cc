@@ -2,7 +2,7 @@
  * @file
  * Observability overhead microbenchmarks.
  *
- * The metrics registry and trace recorder sit on the simulation's hot
+ * The metrics registry and span recorder sit on the simulation's hot
  * paths (every event, packet, and request), so their cost budget is
  * strict: with tracing disabled an instrumented experiment must run
  * within ~5% of the pre-instrumentation baseline. The experiment pair
@@ -16,7 +16,6 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/telemetry.h"
-#include "obs/trace.h"
 
 using namespace treadmill;
 
@@ -51,8 +50,8 @@ BM_ExperimentTraceOff(benchmark::State &state)
 }
 BENCHMARK(BM_ExperimentTraceOff)->Unit(benchmark::kMillisecond);
 
-/** Worst case: record every completed request's full timeline (the
- *  one trace knob also builds the per-attempt span tree). */
+/** Worst case: record every completed request's per-attempt span
+ *  tree. */
 void
 BM_ExperimentTraceEveryRequest(benchmark::State &state)
 {
@@ -61,7 +60,6 @@ BM_ExperimentTraceEveryRequest(benchmark::State &state)
         params.trace.enabled = true;
         params.trace.sampleEvery = 1;
         const auto result = core::runExperiment(params);
-        benchmark::DoNotOptimize(result.traces.size());
         benchmark::DoNotOptimize(result.spans.size());
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(
@@ -116,8 +114,10 @@ BM_HistogramRecord(benchmark::State &state)
     for (auto _ : state) {
         hist.record(v);
         v = v < 1e6 ? v * 1.1 : 1.0;
+        // Inside the loop, as in BM_CounterAdd: each record is
+        // observed, so the loop cannot be folded or sunk.
+        benchmark::DoNotOptimize(hist.count());
     }
-    benchmark::DoNotOptimize(hist.count());
 }
 BENCHMARK(BM_HistogramRecord);
 
@@ -132,30 +132,6 @@ BM_RegistryLookup(benchmark::State &state)
             registry.counter("bench.lookup").value());
 }
 BENCHMARK(BM_RegistryLookup);
-
-/** TraceRecorder::record when sampling keeps the request. */
-void
-BM_TraceRecord(benchmark::State &state)
-{
-    obs::TraceConfig cfg;
-    cfg.enabled = true;
-    obs::TraceRecorder recorder(cfg);
-    obs::RequestTrace trace;
-    trace.intendedSend = 1;
-    trace.clientSend = 2;
-    trace.nicArrival = 3;
-    trace.workerStart = 4;
-    trace.workerEnd = 5;
-    trace.nicDeparture = 6;
-    trace.clientNicArrival = 7;
-    trace.clientReceive = 8;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(recorder.record(trace));
-        if (recorder.traces().size() >= (1u << 16))
-            recorder.takeTraces();
-    }
-}
-BENCHMARK(BM_TraceRecord);
 
 /** SpanRecorder::record of a two-attempt span: the per-completion
  *  cost when span tracing is on (one struct copy into a reserved

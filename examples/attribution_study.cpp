@@ -140,7 +140,7 @@ main()
     const auto tracedRun = core::runExperiment(traced);
     std::printf("%s\n",
                 analysis::renderDecompositionTable(
-                    analysis::decomposeTraces(tracedRun.traces))
+                    analysis::decomposeTraces(tracedRun.spans))
                     .c_str());
     return 0;
 }

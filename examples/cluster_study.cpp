@@ -30,7 +30,8 @@
  *
  * Run: ./build/examples/cluster_study [output-dir]
  * Writes treadmill_cluster_study.json plus the provenance cell's
- * exports (spans, provenance report, telemetry CSV, Chrome traces)
+ * exports (spans, provenance report, telemetry CSV, and one Chrome
+ * trace carrying span lanes, fault windows and telemetry counters)
  * into output-dir (default ".").
  */
 
@@ -354,17 +355,13 @@ main(int argc, char **argv)
     if (!writeFile(dir + "/treadmill_cluster_telemetry.csv",
                    obs::telemetryCsv(provRun.telemetry)))
         return 1;
-    if (!writeFile(dir + "/treadmill_cluster_trace.json",
-                   obs::chromeTraceJson(provRun.traces,
-                                        provRun.faultWindows,
-                                        &provRun.telemetry)))
-        return 1;
     if (!writeFile(dir + "/treadmill_cluster_span_lanes.json",
                    obs::chromeSpanJson(provRun.spans,
-                                       provRun.faultWindows)))
+                                       provRun.faultWindows,
+                                       &provRun.telemetry)))
         return 1;
     std::printf("Wrote %s/treadmill_cluster_{spans,provenance,"
-                "trace,span_lanes}.json and telemetry.csv\n",
+                "span_lanes}.json and telemetry.csv\n",
                 dir.c_str());
     return 0;
 }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Request-tracing demo: run one traced experiment, export the
+ * Request-tracing demo: run one traced experiment, export its spans as
  * Chrome trace-event JSON (open in Perfetto / chrome://tracing), the
  * per-request decomposition CSV, and the metrics-registry snapshot,
  * then print the per-component latency-decomposition table.
@@ -9,11 +9,13 @@
  * Writes treadmill_trace.json, treadmill_decomposition.csv, and
  * treadmill_metrics.json into output-dir (default ".").
  *
- * Exits nonzero if any exported trace fails validation (timeline not
- * monotone, or component sums off from end-to-end by >= 0.1 us), so CI
- * can use it as a smoke test.
+ * Exits nonzero if any exported span fails validation (timeline not
+ * complete and monotone, or component sums off from end-to-end by
+ * >= 0.1 us), so CI can use it as a smoke test.
  */
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -21,7 +23,7 @@
 #include "analysis/export.h"
 #include "analysis/report.h"
 #include "core/experiment.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 
 using namespace treadmill;
 
@@ -62,24 +64,28 @@ main(int argc, char **argv)
     std::printf("  achieved %.0f RPS at %.0f%% server utilization, "
                 "%zu requests traced\n",
                 result.achievedRps, 100.0 * result.serverUtilization,
-                result.traces.size());
+                result.spans.size());
 
-    if (result.traces.empty()) {
+    if (result.spans.empty()) {
         std::fprintf(stderr, "no traces recorded\n");
         return 1;
     }
 
-    // Self-validate before exporting: the stamps must be monotone and
-    // the seven components must telescope to the end-to-end latency.
-    for (const obs::RequestTrace &t : result.traces) {
-        if (!obs::timelineMonotonic(t)) {
+    // Self-validate before exporting: the stamps must be complete and
+    // monotone, and the eight components must telescope to the
+    // end-to-end latency.
+    double worstUs = 0.0;
+    for (const obs::SpanTrace &s : result.spans) {
+        if (!obs::spanComplete(s)) {
             std::fprintf(stderr,
-                         "trace seq %llu is not monotone\n",
-                         static_cast<unsigned long long>(t.seqId));
+                         "trace of request %llu is not monotone\n",
+                         static_cast<unsigned long long>(
+                             s.logicalSeqId));
             return 1;
         }
+        const obs::Decomposition d = obs::Decomposition::of(s);
+        worstUs = std::max(worstUs, std::fabs(d.totalUs() - d.endToEndUs));
     }
-    const double worstUs = obs::maxDecompositionErrorUs(result.traces);
     if (worstUs >= 0.1) {
         std::fprintf(stderr,
                      "decomposition error %.6f us exceeds 0.1 us\n",
@@ -88,13 +94,13 @@ main(int argc, char **argv)
     }
     std::printf("  validated %zu timelines (max decomposition error "
                 "%.3g us)\n",
-                result.traces.size(), worstUs);
+                result.spans.size(), worstUs);
 
     const std::string tracePath = dir + "/treadmill_trace.json";
     const std::string csvPath = dir + "/treadmill_decomposition.csv";
     const std::string metricsPath = dir + "/treadmill_metrics.json";
-    if (!writeFile(tracePath, obs::chromeTraceJson(result.traces)) ||
-        !writeFile(csvPath, obs::decompositionCsv(result.traces)) ||
+    if (!writeFile(tracePath, obs::chromeSpanJson(result.spans)) ||
+        !writeFile(csvPath, obs::decompositionCsv(result.spans)) ||
         !writeFile(metricsPath, result.metrics.dumpPretty() + "\n"))
         return 1;
     std::printf("\nWrote %s (load it in https://ui.perfetto.dev or"
@@ -103,7 +109,7 @@ main(int argc, char **argv)
                 metricsPath.c_str());
 
     // The measured attribution: which component owns the tail.
-    const auto report = analysis::decomposeTraces(result.traces);
+    const auto report = analysis::decomposeTraces(result.spans);
     std::printf("%s\n",
                 analysis::renderDecompositionTable(report).c_str());
 

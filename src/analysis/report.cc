@@ -125,10 +125,10 @@ renderCoefficientTable(const AttributionResult &attribution,
 }
 
 DecompositionReport
-decomposeTraces(const std::vector<obs::RequestTrace> &traces,
+decomposeTraces(const std::vector<obs::SpanTrace> &spans,
                 const std::vector<double> &quantiles)
 {
-    if (traces.empty())
+    if (spans.empty())
         throw NumericalError("cannot decompose zero traces");
     if (quantiles.empty())
         throw ConfigError("decomposition needs at least one quantile");
@@ -136,12 +136,12 @@ decomposeTraces(const std::vector<obs::RequestTrace> &traces,
     const auto &names = obs::decompositionComponentNames();
     std::vector<std::vector<double>> perComponent(names.size());
     for (auto &samples : perComponent)
-        samples.reserve(traces.size());
+        samples.reserve(spans.size());
     std::vector<double> endToEnd;
-    endToEnd.reserve(traces.size());
+    endToEnd.reserve(spans.size());
 
-    for (const obs::RequestTrace &t : traces) {
-        const auto d = obs::Decomposition::of(t);
+    for (const obs::SpanTrace &s : spans) {
+        const auto d = obs::Decomposition::of(s);
         const std::vector<double> parts =
             obs::decompositionComponents(d);
         for (std::size_t c = 0; c < parts.size(); ++c)
@@ -151,7 +151,7 @@ decomposeTraces(const std::vector<obs::RequestTrace> &traces,
 
     DecompositionReport report;
     report.quantiles = quantiles;
-    report.requestCount = traces.size();
+    report.requestCount = spans.size();
     report.endToEndMeanUs = stats::mean(endToEnd);
     for (double q : quantiles)
         report.endToEndQuantileUs.push_back(

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "analysis/attribution.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 
 namespace treadmill {
 namespace analysis {
@@ -90,11 +90,12 @@ struct DecompositionReport {
 };
 
 /**
- * Decompose @p traces into per-component quantiles at @p quantiles
- * (defaults to P50/P99/P99.9). Throws NumericalError when empty.
+ * Decompose each span's winning attempt (obs::Decomposition) into
+ * per-component quantiles at @p quantiles (defaults to
+ * P50/P99/P99.9). Throws NumericalError when empty.
  */
 DecompositionReport
-decomposeTraces(const std::vector<obs::RequestTrace> &traces,
+decomposeTraces(const std::vector<obs::SpanTrace> &spans,
                 const std::vector<double> &quantiles = {0.5, 0.99,
                                                         0.999});
 

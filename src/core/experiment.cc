@@ -77,15 +77,11 @@ deriveRequestRate(const ExperimentParams &params)
                                       params.seed);
         serviceSeconds =
             probe.expectedServiceSeconds(params.workload.valueBytesMean);
-    } else if (params.kind == WorkloadKind::Mcrouter) {
+    } else {
         server::McrouterServer probe(machine, params.mcrouterParams,
                                      params.seed);
         serviceSeconds =
             probe.expectedServiceSeconds(params.workload.valueBytesMean);
-    } else {
-        server::SqlishServer probe(machine, params.sqlishParams,
-                                   params.seed);
-        serviceSeconds = probe.expectedServiceSeconds();
     }
     TM_ASSERT(serviceSeconds > 0.0, "service time must be positive");
     const double capacity =
@@ -106,7 +102,6 @@ struct Harness {
     std::unique_ptr<hw::Machine> machine;
     std::unique_ptr<server::MemcachedServer> memcached;
     std::unique_ptr<server::McrouterServer> mcrouter;
-    std::unique_ptr<server::SqlishServer> sqlish;
     std::unique_ptr<net::Cluster> cluster;
     net::PacketCapture capture;
     /** Sharded backend tier; all empty/null when
@@ -122,7 +117,6 @@ struct Harness {
     std::unique_ptr<server::ServiceFaultShim> faultShim;
     std::unique_ptr<fault::FaultInjector> injector;
     std::vector<std::unique_ptr<LoadTesterInstance>> instances;
-    obs::TraceRecorder recorder;
     obs::SpanRecorder spanRecorder;
     obs::TelemetrySampler sampler;
     bool deadlineHit = false;
@@ -139,9 +133,7 @@ struct Harness {
     {
         if (memcached)
             return *memcached;
-        if (mcrouter)
-            return *mcrouter;
-        return *sqlish;
+        return *mcrouter;
     }
 
     /** The request sink: the fault shim when one is wired, else the
@@ -284,7 +276,6 @@ runExperiment(const ExperimentParams &params)
 
     auto h = std::make_unique<Harness>();
     h->params = params;
-    h->recorder = obs::TraceRecorder(params.trace);
     h->spanRecorder = obs::SpanRecorder(params.trace);
     h->sampler = obs::TelemetrySampler(params.telemetry);
 
@@ -293,12 +284,9 @@ runExperiment(const ExperimentParams &params)
     if (params.kind == WorkloadKind::Memcached) {
         h->memcached = std::make_unique<server::MemcachedServer>(
             *h->machine, params.memcachedParams, params.seed);
-    } else if (params.kind == WorkloadKind::Mcrouter) {
+    } else {
         h->mcrouter = std::make_unique<server::McrouterServer>(
             *h->machine, params.mcrouterParams, params.seed);
-    } else {
-        h->sqlish = std::make_unique<server::SqlishServer>(
-            *h->machine, params.sqlishParams, params.seed);
     }
 
     std::vector<net::Cluster::ClientSpec> clientSpecs(
@@ -346,20 +334,11 @@ runExperiment(const ExperimentParams &params)
 
     // Estimate the mean response time for closed-loop slot sizing:
     // expected service + network round trip + client costs.
-    double estServiceSeconds = 0.0;
-    switch (params.kind) {
-      case WorkloadKind::Memcached:
-        estServiceSeconds = h->memcached->expectedServiceSeconds(
-            params.workload.valueBytesMean);
-        break;
-      case WorkloadKind::Mcrouter:
-        estServiceSeconds = h->mcrouter->expectedServiceSeconds(
-            params.workload.valueBytesMean);
-        break;
-      case WorkloadKind::Sqlish:
-        estServiceSeconds = h->sqlish->expectedServiceSeconds();
-        break;
-    }
+    const double estServiceSeconds =
+        h->memcached ? h->memcached->expectedServiceSeconds(
+                           params.workload.valueBytesMean)
+                     : h->mcrouter->expectedServiceSeconds(
+                           params.workload.valueBytesMean);
     const double estMeanResponseSeconds = estServiceSeconds + 20e-6;
 
     for (std::size_t i = 0; i < params.tester.clientMachines; ++i) {
@@ -469,31 +448,6 @@ runExperiment(const ExperimentParams &params)
                      : harness->setLatencyUs)
                     .record(req->clientLatencyUs());
 
-                if (harness->params.trace.enabled) {
-                    obs::RequestTrace trace;
-                    trace.seqId = req->seqId;
-                    trace.connectionId = req->connectionId;
-                    trace.clientIndex = req->clientIndex;
-                    trace.isGet = req->op == server::OpType::Get;
-                    trace.hit = req->hit;
-                    trace.backendId = req->backendId;
-                    trace.intendedSend = req->intendedSend;
-                    trace.clientSend = req->clientSend;
-                    trace.nicArrival = req->nicArrival;
-                    trace.workerStart = req->workerStart;
-                    trace.workerEnd = req->workerEnd;
-                    trace.nicDeparture = req->nicDeparture;
-                    trace.clientNicArrival = req->clientNicArrival;
-                    trace.clientReceive = req->clientReceive;
-                    // Satellite of the span model: the flat trace
-                    // learns when the *winning* attempt was triggered,
-                    // so its decomposition accounts the pre-win gap
-                    // explicitly instead of smearing it over client
-                    // queueing.
-                    trace.winnerTrigger = req->triggerAt;
-                    harness->recorder.record(trace);
-                }
-
                 bool allDone = true;
                 for (auto &inst : harness->instances) {
                     if (inst->done())
@@ -597,7 +551,6 @@ runExperiment(const ExperimentParams &params)
             inform("capture", msg);
     }
 
-    result.traces = h->recorder.takeTraces();
     result.spans = h->spanRecorder.takeSpans();
     result.telemetry = h->sampler.takeSeries();
     if (h->injector)

@@ -33,10 +33,8 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/telemetry.h"
-#include "obs/trace.h"
 #include "server/mcrouter.h"
 #include "server/memcached.h"
-#include "server/sqlish.h"
 #include "stats/convergence.h"
 #include "util/json.h"
 #include "util/types.h"
@@ -45,7 +43,7 @@ namespace treadmill {
 namespace core {
 
 /** Which server the experiment drives. */
-enum class WorkloadKind { Memcached, Mcrouter, Sqlish };
+enum class WorkloadKind { Memcached, Mcrouter };
 
 /**
  * Sharded multi-backend cluster behind the router (Mcrouter runs
@@ -90,7 +88,6 @@ struct ExperimentParams {
     hw::HardwareConfig config;
     server::MemcachedParams memcachedParams;
     server::McrouterParams mcrouterParams;
-    server::SqlishParams sqlishParams;
     TesterSpec tester; ///< Defaults to treadmillSpec().
 
     /**
@@ -137,8 +134,8 @@ struct ExperimentParams {
     /**
      * Request-lifecycle tracing (off by default). Sampling is by
      * completion order, deterministic and Rng-free, so enabling it
-     * cannot perturb the run. The one knob drives both the flat
-     * RequestTrace export and the per-attempt SpanTrace export.
+     * cannot perturb the run. It records one per-attempt SpanTrace
+     * per sampled request, the source of every trace export.
      */
     obs::TraceConfig trace;
 
@@ -192,11 +189,8 @@ struct ExperimentResult {
     std::size_t captureOutstanding = 0;
     /** @} */
 
-    /** Sampled request timelines (empty unless params.trace.enabled). */
-    std::vector<obs::RequestTrace> traces;
-
     /** Sampled per-attempt span trees (empty unless
-     *  params.trace.enabled; same completion-order sampling). */
+     *  params.trace.enabled; sampled by completion order). */
     std::vector<obs::SpanTrace> spans;
 
     /** Telemetry time series (empty unless params.telemetry.enabled). */
@@ -204,7 +198,7 @@ struct ExperimentResult {
 
     /** Concrete fault windows the injector applied (one annotation per
      *  window; empty when the run had no fault plan). Pass these to
-     *  chromeTraceJson() to overlay fault lanes on exported traces. */
+     *  chromeSpanJson() to overlay fault lanes on exported traces. */
     std::vector<obs::TraceAnnotation> faultWindows;
 
     /** Snapshot of the simulation's metrics registry at run end. */

@@ -29,7 +29,7 @@
 #include "fault/plan.h"
 #include "hw/nic.h"
 #include "net/link.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 #include "server/fault_shim.h"
 #include "sim/simulation.h"
 #include "util/types.h"

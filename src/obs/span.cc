@@ -6,6 +6,7 @@
 #include <string_view>
 
 #include "util/json.h"
+#include "util/logging.h"
 #include "util/strings.h"
 
 namespace treadmill {
@@ -370,6 +371,81 @@ ClusterDecomposition::of(const SpanTrace &span)
     return d;
 }
 
+double
+Decomposition::totalUs() const
+{
+    return preWinUs + clientQueueUs + netRequestUs + serverQueueUs +
+           serviceUs + serverNicUs + netResponseUs + clientDeliverUs;
+}
+
+Decomposition
+Decomposition::of(const SpanTrace &span)
+{
+    TM_ASSERT(span.winner >= 0 &&
+                  static_cast<std::uint32_t>(span.winner) < span.stored,
+              "span has no winning attempt");
+    const AttemptSpan &w = span.winning();
+    // The winning attempt's trigger instant, clamped to the timeline
+    // so a malformed stamp degrades to the no-pre-win split.
+    const SimTime trigger = w.triggerAt == kNoTime ||
+                                    w.triggerAt < span.intendedSend ||
+                                    w.triggerAt > w.clientSend
+                                ? span.intendedSend
+                                : w.triggerAt;
+    Decomposition d;
+    d.preWinUs = toMicros(trigger - span.intendedSend);
+    d.clientQueueUs = toMicros(w.clientSend - trigger);
+    d.netRequestUs = toMicros(w.nicArrival - w.clientSend);
+    d.serverQueueUs = toMicros(w.workerStart - w.nicArrival);
+    d.serviceUs = toMicros(w.workerEnd - w.workerStart);
+    d.serverNicUs = toMicros(w.nicDeparture - w.workerEnd);
+    d.netResponseUs = toMicros(w.clientNicArrival - w.nicDeparture);
+    d.clientDeliverUs = toMicros(w.clientReceive - w.clientNicArrival);
+    d.endToEndUs = toMicros(w.clientReceive - span.intendedSend);
+    return d;
+}
+
+const std::vector<std::string> &
+decompositionComponentNames()
+{
+    static const std::vector<std::string> names = {
+        "pre-win wait",  "client queue", "net request",
+        "server queue",  "service",      "server nic",
+        "net response",  "client deliver"};
+    return names;
+}
+
+std::vector<double>
+decompositionComponents(const Decomposition &d)
+{
+    return {d.preWinUs,    d.clientQueueUs, d.netRequestUs,
+            d.serverQueueUs, d.serviceUs,   d.serverNicUs,
+            d.netResponseUs, d.clientDeliverUs};
+}
+
+std::string
+decompositionCsv(const std::vector<SpanTrace> &spans)
+{
+    std::string out =
+        "seq_id,client,op,hit,pre_win_us,client_queue_us,"
+        "net_request_us,server_queue_us,service_us,server_nic_us,"
+        "net_response_us,client_deliver_us,component_sum_us,"
+        "end_to_end_us\n";
+    for (const SpanTrace &s : spans) {
+        const Decomposition d = Decomposition::of(s);
+        out += strprintf(
+            "%llu,%llu,%s,%d,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,"
+            "%.3f,%.3f\n",
+            static_cast<unsigned long long>(s.winning().seqId),
+            static_cast<unsigned long long>(s.clientIndex),
+            s.isGet ? "get" : "set", s.hit ? 1 : 0, d.preWinUs,
+            d.clientQueueUs, d.netRequestUs, d.serverQueueUs,
+            d.serviceUs, d.serverNicUs, d.netResponseUs,
+            d.clientDeliverUs, d.totalUs(), d.endToEndUs);
+    }
+    return out;
+}
+
 SpanRecorder::SpanRecorder(const TraceConfig &config) : cfg(config)
 {
     if (cfg.sampleEvery == 0)
@@ -575,7 +651,8 @@ spanJson(const std::vector<SpanTrace> &spans)
 
 std::string
 chromeSpanJson(const std::vector<SpanTrace> &spans,
-               const std::vector<TraceAnnotation> &annotations)
+               const std::vector<TraceAnnotation> &annotations,
+               const TelemetrySeries *telemetry)
 {
     std::string out;
     json::Writer w(out);
@@ -597,6 +674,25 @@ chromeSpanJson(const std::vector<SpanTrace> &spans,
                 .member("tid", std::int64_t{0})
                 .member("ts", toMicros(a.start))
                 .endObject();
+    }
+
+    if (telemetry != nullptr && telemetry->ticks() > 0) {
+        const std::int64_t telemetryPid = -2;
+        writeNameMeta(w, "process_name", telemetryPid, std::nullopt,
+                      "telemetry");
+        for (std::size_t t = 0; t < telemetry->ticks(); ++t)
+            for (std::size_t p = 0; p < telemetry->probes.size(); ++p)
+                w.beginObject()
+                    .key("args")
+                    .beginObject()
+                    .member("value", telemetry->values[p][t])
+                    .endObject()
+                    .member("cat", "telemetry")
+                    .member("name", telemetry->probes[p])
+                    .member("ph", "C")
+                    .member("pid", telemetryPid)
+                    .member("ts", toMicros(telemetry->at[t]))
+                    .endObject();
     }
 
     std::set<std::uint64_t> clients;

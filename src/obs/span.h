@@ -1,7 +1,9 @@
 /**
  * @file
- * Attempt-span tracing: the multi-attempt, multi-hop successor of the
- * flat RequestTrace timeline.
+ * Request tracing: sampled per-attempt span trees, the single record
+ * of request timing, exported as span JSON, as Chrome trace-event JSON
+ * (loadable in Perfetto / chrome://tracing) and as a per-request
+ * latency-decomposition CSV.
  *
  * A SpanTrace owns the whole life of one *logical* request: one
  * AttemptSpan per wire attempt (original / retry-k / hedge), each
@@ -16,7 +18,10 @@
  * backoffs, and hedge waits on the losing side, then the winning
  * attempt's wire path hop by hop. Segments share endpoints, so the
  * integer-nanosecond sum telescopes *exactly* to end-to-end latency;
- * ClusterDecomposition aggregates the chain per segment kind.
+ * ClusterDecomposition aggregates the chain per segment kind, while
+ * Decomposition splits the winning attempt into the eight components
+ * the paper attributes (client queueing, network, server queueing,
+ * service).
  *
  * Everything here is plain data over util only (obs sits at the bottom
  * of the layering DAG); producers in core copy Request stamps in.
@@ -30,11 +35,31 @@
 #include <string>
 #include <vector>
 
-#include "obs/trace.h"
+#include "obs/telemetry.h"
 #include "util/types.h"
 
 namespace treadmill {
 namespace obs {
+
+/** Tracing knobs; disabled recording costs one branch per request. */
+struct TraceConfig {
+    bool enabled = false;
+    /** Record every Nth completed request (1 = all). */
+    std::uint64_t sampleEvery = 1;
+    /** Hard cap on retained spans (newest dropped once full). */
+    std::size_t maxTraces = 1u << 20;
+};
+
+/**
+ * A named wall-of-time annotation overlaid on the trace, e.g. an
+ * injected fault window. Kept as a plain struct so producers (the
+ * fault injector) need no dependency on obs beyond this header.
+ */
+struct TraceAnnotation {
+    std::string name;     ///< Display label ("server_stall").
+    SimTime start = 0;    ///< Window start (simulated ns).
+    SimTime end = 0;      ///< Window end (simulated ns).
+};
 
 /** Why an attempt was sent. */
 enum class AttemptCause : std::uint8_t {
@@ -119,6 +144,13 @@ struct SpanTrace {
     endToEndUs() const
     {
         return toMicros(clientReceive - intendedSend);
+    }
+
+    /** The attempt whose response was consumed (winner must be set). */
+    const AttemptSpan &
+    winning() const
+    {
+        return attempts[static_cast<std::size_t>(winner)];
     }
 };
 
@@ -246,10 +278,58 @@ struct ClusterDecomposition {
 };
 
 /**
+ * The flat full-path latency decomposition of one request, in
+ * microseconds: the winning attempt's timeline split at its stamps.
+ *
+ * The eight components partition [intendedSend, clientReceive], so
+ * totalUs() equals endToEndUs exactly (integer-nanosecond stamps).
+ */
+struct Decomposition {
+    double preWinUs = 0.0;        ///< Retry/hedge policy delay before the
+                                  ///< winning attempt was even triggered:
+                                  ///< intendedSend->winner triggerAt.
+    double clientQueueUs = 0.0;   ///< Send slip: triggerAt->clientSend.
+    double netRequestUs = 0.0;    ///< clientSend->nicArrival.
+    double serverQueueUs = 0.0;   ///< NIC-to-worker wait:
+                                  ///< nicArrival->workerStart.
+    double serviceUs = 0.0;       ///< workerStart->workerEnd.
+    double serverNicUs = 0.0;     ///< workerEnd->nicDeparture.
+    double netResponseUs = 0.0;   ///< nicDeparture->clientNicArrival.
+    double clientDeliverUs = 0.0; ///< Kernel + callback:
+                                  ///< clientNicArrival->clientReceive.
+    double endToEndUs = 0.0;      ///< intendedSend->clientReceive.
+
+    /** Sum of the eight components. */
+    double totalUs() const;
+
+    /**
+     * Decompose @p span's winning attempt (its stamps must be
+     * complete; panics when the span has no winner). A trigger
+     * outside [intendedSend, clientSend] degrades to the
+     * single-attempt split with no pre-win wait.
+     */
+    static Decomposition of(const SpanTrace &span);
+};
+
+/** Component display names, in path order (matches Decomposition). */
+const std::vector<std::string> &decompositionComponentNames();
+
+/** Component values of @p d in the same order as the names. */
+std::vector<double> decompositionComponents(const Decomposition &d);
+
+/**
+ * Render spans as a per-request decomposition CSV: one row per span
+ * (keyed by the winning attempt's seq id) with the eight component
+ * latencies, their sum, and the end-to-end latency (all
+ * microseconds).
+ */
+std::string decompositionCsv(const std::vector<SpanTrace> &spans);
+
+/**
  * Collects sampled SpanTraces during a run. Sampling is by completion
- * order modulo TraceConfig::sampleEvery -- deterministic and Rng-free,
- * exactly like TraceRecorder -- and shares the same TraceConfig, so
- * one knob drives both the flat and the span exports.
+ * order modulo TraceConfig::sampleEvery -- deterministic given the
+ * simulation's event order, and independent of any Rng stream, so
+ * enabling tracing cannot perturb a run.
  */
 class SpanRecorder
 {
@@ -303,11 +383,16 @@ std::string spanJson(const std::vector<SpanTrace> &spans);
  * Render spans into Chrome trace-event JSON: one "process" per
  * client, one lane per wire attempt (labelled original/retry-k/
  * hedge), each lane tiled with its critical-path or hop segments.
- * Complements chromeTraceJson()'s flat per-request lanes.
+ * Optional @p annotations (fault windows) render as spans on a
+ * dedicated "faults" process (pid -1), and an optional @p telemetry
+ * series renders as "ph":"C" counter tracks on a dedicated
+ * "telemetry" process (pid -2), so one document carries requests,
+ * faults and gauges on a shared clock.
  */
 std::string chromeSpanJson(
     const std::vector<SpanTrace> &spans,
-    const std::vector<TraceAnnotation> &annotations = {});
+    const std::vector<TraceAnnotation> &annotations = {},
+    const TelemetrySeries *telemetry = nullptr);
 
 } // namespace obs
 } // namespace treadmill

@@ -75,52 +75,5 @@ telemetryCsv(const TelemetrySeries &series)
     return out;
 }
 
-void
-appendChromeCounterEvents(json::Array &events,
-                          const TelemetrySeries &series)
-{
-    if (series.at.empty())
-        return;
-    const std::int64_t telemetryPid = -2;
-    json::Object meta;
-    meta["name"] = json::Value("process_name");
-    meta["ph"] = json::Value("M");
-    meta["pid"] = json::Value(telemetryPid);
-    json::Object metaArgs;
-    metaArgs["name"] = json::Value("telemetry");
-    meta["args"] = json::Value(std::move(metaArgs));
-    events.push_back(json::Value(std::move(meta)));
-
-    for (std::size_t t = 0; t < series.at.size(); ++t) {
-        for (std::size_t p = 0; p < series.probes.size(); ++p) {
-            json::Object ev;
-            ev["name"] = json::Value(series.probes[p]);
-            ev["cat"] = json::Value("telemetry");
-            ev["ph"] = json::Value("C");
-            ev["ts"] = json::Value(toMicros(series.at[t]));
-            ev["pid"] = json::Value(telemetryPid);
-            json::Object args;
-            args["value"] = json::Value(series.values[p][t]);
-            ev["args"] = json::Value(std::move(args));
-            events.push_back(json::Value(std::move(ev)));
-        }
-    }
-}
-
-std::string
-chromeCounterJson(const TelemetrySeries &series)
-{
-    json::Array events;
-    appendChromeCounterEvents(events, series);
-    json::Object doc;
-    doc["traceEvents"] = json::Value(std::move(events));
-    doc["displayTimeUnit"] = json::Value("ms");
-    json::Object other;
-    other["tool"] = json::Value("treadmill");
-    other["schema"] = json::Value("telemetry/1");
-    doc["otherData"] = json::Value(std::move(other));
-    return json::Value(std::move(doc)).dump();
-}
-
 } // namespace obs
 } // namespace treadmill

@@ -13,7 +13,8 @@
  * simulated instants as a telemetry-off run.
  *
  * Exports: an aligned CSV (one row per tick, one column per probe)
- * and Chrome trace counter events ("ph":"C") that render as stacked
+ * and, through chromeSpanJson()'s telemetry argument (obs/span.h),
+ * Chrome trace counter events ("ph":"C") that render as stacked
  * counter tracks alongside the span lanes.
  */
 
@@ -25,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "util/json.h"
 #include "util/types.h"
 
 namespace treadmill {
@@ -98,21 +98,6 @@ class TelemetrySampler
  * per tick with %.3f-formatted values.
  */
 std::string telemetryCsv(const TelemetrySeries &series);
-
-/**
- * Render a series as Chrome trace counter events: one "ph":"C" event
- * per probe per tick on a dedicated "telemetry" process (pid -2), so
- * the gauges plot as stacked counter tracks above the request lanes.
- * Append the result to a trace's event list via chromeTraceJson()'s
- * @p telemetry parameter or merge it into a custom document.
- */
-std::string chromeCounterJson(const TelemetrySeries &series);
-
-/** Append the raw "ph":"C" counter events of @p series to an existing
- *  trace-event array (used by chromeTraceJson() to merge gauges into
- *  the request-lane document). */
-void appendChromeCounterEvents(json::Array &events,
-                               const TelemetrySeries &series);
 
 } // namespace obs
 } // namespace treadmill

@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared server-side telemetry: every service model (Memcached,
- * mcrouter, sqlish) publishes the same queue-wait / service-time /
+ * mcrouter) publishes the same queue-wait / service-time /
  * hit-rate metrics into its machine's registry, so decomposition
  * reports and dashboards read one schema regardless of workload kind.
  */

@@ -188,6 +188,8 @@ RunReader::bytesData(ColumnId id, std::size_t &size) const
 RunRecord
 RunReader::record() const
 {
+    // tmlint:cold: decodes one archived run for verify/refit; no
+    // simulation path reads an archive
     RunRecord rec;
     rec.seed = u64s(ColumnId::Seed)[0];
     rec.configDigest = u64s(ColumnId::ConfigDigest)[0];

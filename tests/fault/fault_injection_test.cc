@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "core/experiment.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 #include "server/fault_shim.h"
 #include "sim/simulation.h"
 #include "util/error.h"
@@ -353,10 +353,10 @@ TEST(FaultExperimentTest, FaultWindowsOverlayOnChromeTrace)
     params.trace.sampleEvery = 16;
     const auto result = core::runExperiment(params);
 
-    ASSERT_FALSE(result.traces.empty());
+    ASSERT_FALSE(result.spans.empty());
     ASSERT_FALSE(result.faultWindows.empty());
     const std::string json =
-        obs::chromeTraceJson(result.traces, result.faultWindows);
+        obs::chromeSpanJson(result.spans, result.faultWindows);
     EXPECT_NE(json.find("\"faults\""), std::string::npos);
     EXPECT_NE(json.find("server_stall"), std::string::npos);
 }

@@ -13,7 +13,6 @@
 #include "fault/plan.h"
 #include "obs/span.h"
 #include "obs/telemetry.h"
-#include "obs/trace.h"
 #include "util/json.h"
 
 namespace treadmill {
@@ -51,10 +50,9 @@ exportsOf(const ExperimentResult &r)
     std::string all;
     all += obs::spanJson(r.spans);
     all += obs::chromeSpanJson(r.spans, r.faultWindows);
-    all += obs::chromeTraceJson(r.traces, r.faultWindows,
-                                &r.telemetry);
+    all += obs::chromeSpanJson(r.spans, r.faultWindows, &r.telemetry);
     all += obs::telemetryCsv(r.telemetry);
-    all += obs::decompositionCsv(r.traces);
+    all += obs::decompositionCsv(r.spans);
     all += r.metrics.dump();
     return all;
 }
@@ -104,8 +102,11 @@ TEST(ExportDeterminismTest, ClusterSpanExportsAreCanonicalJson)
     ASSERT_FALSE(r.faultWindows.empty());
     const std::string spans = obs::spanJson(r.spans);
     const std::string lanes = obs::chromeSpanJson(r.spans, r.faultWindows);
+    const std::string full =
+        obs::chromeSpanJson(r.spans, r.faultWindows, &r.telemetry);
     EXPECT_EQ(json::parse(spans).dump(), spans);
     EXPECT_EQ(json::parse(lanes).dump(), lanes);
+    EXPECT_EQ(json::parse(full).dump(), full);
 }
 
 TEST(ExportDeterminismTest, ObservabilityDoesNotPerturbTheRun)

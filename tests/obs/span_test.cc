@@ -1,5 +1,5 @@
-/** @file Unit tests for attempt spans, critical-path extraction, and
- *  the cluster-aware decomposition. */
+/** @file Unit tests for attempt spans, critical-path extraction, the
+ *  flat and cluster-aware decompositions, and the span exports. */
 
 #include "obs/span.h"
 
@@ -280,6 +280,91 @@ TEST(SpanTest, IncompleteSpanYieldsInvalidDecomposition)
     EXPECT_EQ(path.count, 0u);
 }
 
+TEST(SpanTest, FlatDecompositionTelescopesExactly)
+{
+    const Decomposition d =
+        Decomposition::of(singleAttemptSpan(classicAttempt()));
+    EXPECT_DOUBLE_EQ(d.preWinUs, 0.0);
+    EXPECT_DOUBLE_EQ(d.clientQueueUs, 0.5);
+    EXPECT_DOUBLE_EQ(d.netRequestUs, 2.0);
+    EXPECT_DOUBLE_EQ(d.serverQueueUs, 0.7);
+    EXPECT_DOUBLE_EQ(d.serviceUs, 5.0);
+    EXPECT_DOUBLE_EQ(d.serverNicUs, 0.3);
+    EXPECT_DOUBLE_EQ(d.netResponseUs, 2.0);
+    EXPECT_DOUBLE_EQ(d.clientDeliverUs, 0.25);
+    EXPECT_DOUBLE_EQ(d.endToEndUs, 10.75);
+    EXPECT_NEAR(d.totalUs(), d.endToEndUs, 1e-9);
+}
+
+TEST(SpanTest, FlatDecompositionReadsTheWinningAttempt)
+{
+    // The retry won: everything before its trigger is pre-win wait,
+    // and every hop comes from the winner, not the timed-out primary.
+    const Decomposition d = Decomposition::of(retrySpan());
+    EXPECT_DOUBLE_EQ(d.preWinUs, 4.6);
+    EXPECT_DOUBLE_EQ(d.clientQueueUs, 0.5);
+    EXPECT_DOUBLE_EQ(d.serviceUs, 5.0);
+    EXPECT_DOUBLE_EQ(d.endToEndUs, 15.35);
+    EXPECT_NEAR(d.totalUs(), d.endToEndUs, 1e-9);
+}
+
+TEST(SpanTest, FlatDecompositionClampsAStrayTrigger)
+{
+    // A trigger that is unset or outside [intendedSend, clientSend]
+    // degrades to the no-pre-win split; the sum still telescopes.
+    for (SimTime trigger : {kNoTime, SimTime{500}, SimTime{1'600}}) {
+        SpanTrace s = singleAttemptSpan(classicAttempt());
+        s.attempts[0].triggerAt = trigger;
+        const Decomposition d = Decomposition::of(s);
+        EXPECT_DOUBLE_EQ(d.preWinUs, 0.0) << trigger;
+        EXPECT_DOUBLE_EQ(d.clientQueueUs, 0.5) << trigger;
+        EXPECT_NEAR(d.totalUs(), d.endToEndUs, 1e-9) << trigger;
+    }
+}
+
+TEST(SpanTest, FlatDecompositionRejectsASpanWithoutWinner)
+{
+    SpanTrace s = singleAttemptSpan(classicAttempt());
+    s.winner = -1;
+    EXPECT_DEATH(Decomposition::of(s), "no winning attempt");
+    s.winner = 1; // Past the one stored attempt.
+    EXPECT_DEATH(Decomposition::of(s), "no winning attempt");
+}
+
+TEST(SpanTest, ComponentNamesAndValuesAlign)
+{
+    const auto &names = decompositionComponentNames();
+    const auto values = decompositionComponents(
+        Decomposition::of(singleAttemptSpan(classicAttempt())));
+    ASSERT_EQ(names.size(), 8u);
+    ASSERT_EQ(values.size(), names.size());
+    EXPECT_EQ(names.front(), "pre-win wait");
+    EXPECT_EQ(names[1], "client queue");
+    EXPECT_EQ(names.back(), "client deliver");
+}
+
+TEST(SpanTest, DecompositionCsvShape)
+{
+    SpanTrace other = singleAttemptSpan(classicAttempt());
+    other.attempts[0].seqId = 8;
+    other.clientIndex = 1;
+    const std::string csv = decompositionCsv(
+        {singleAttemptSpan(classicAttempt()), other, retrySpan()});
+    // Header + one row per span, keyed by the winner's seq id.
+    std::size_t lines = 0;
+    for (char c : csv)
+        lines += c == '\n' ? 1 : 0;
+    EXPECT_EQ(lines, 4u);
+    EXPECT_EQ(csv.rfind("seq_id,client,op,hit,", 0), 0u);
+    EXPECT_NE(csv.find("component_sum_us,end_to_end_us"),
+              std::string::npos);
+    EXPECT_NE(csv.find("\n7,0,get,0,0.000,0.500,"), std::string::npos);
+    EXPECT_NE(csv.find("\n8,1,get,0,"), std::string::npos);
+    EXPECT_NE(csv.find("\n11,0,get,0,4.600,"), std::string::npos);
+    EXPECT_NE(csv.find("10.750,10.750\n"), std::string::npos);
+    EXPECT_NE(csv.find("15.350,15.350\n"), std::string::npos);
+}
+
 TEST(SpanTest, SegmentNamesAlignWithKinds)
 {
     const auto &names = segmentKindNames();
@@ -308,6 +393,20 @@ TEST(SpanTest, RecorderSamplesByCompletionOrder)
     const auto taken = recorder.takeSpans();
     EXPECT_EQ(taken.size(), 4u);
     EXPECT_TRUE(recorder.spans().empty());
+}
+
+TEST(SpanTest, RecorderHonorsMaxTraces)
+{
+    TraceConfig cfg;
+    cfg.enabled = true;
+    cfg.maxTraces = 2;
+    SpanRecorder recorder(cfg);
+    const SpanTrace s = singleAttemptSpan(classicAttempt());
+    for (int i = 0; i < 5; ++i)
+        recorder.record(s);
+    EXPECT_EQ(recorder.seen(), 5u);
+    EXPECT_EQ(recorder.takeSpans().size(), 2u);
+    EXPECT_EQ(recorder.seen(), 5u); // Counting survives the take.
 }
 
 TEST(SpanTest, RecorderDisabledRetainsNothing)

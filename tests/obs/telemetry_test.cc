@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/span.h"
 #include "util/error.h"
 #include "util/json.h"
 
@@ -123,26 +124,29 @@ TEST(TelemetryTest, ChromeCounterEventsShape)
     sampler.sample(microseconds(100));
     sampler.sample(microseconds(200));
 
-    const json::Value doc =
-        json::parse(chromeCounterJson(sampler.series()));
-    EXPECT_EQ(doc.at("otherData").at("schema").asString(),
-              "telemetry/1");
+    const std::string text = chromeSpanJson({}, {}, &sampler.series());
+    // Streamed text with gauges is the document model's canonical dump.
+    EXPECT_EQ(json::parse(text).dump(), text);
+    const json::Value doc = json::parse(text);
     const json::Array &events = doc.at("traceEvents").asArray();
     // One process_name record + one counter event per probe per tick.
     ASSERT_EQ(events.size(), 1u + 2u);
     EXPECT_EQ(events[0].at("ph").asString(), "M");
+    EXPECT_EQ(events[0].at("pid").asInt(), -2);
+    EXPECT_EQ(events[0].at("args").at("name").asString(), "telemetry");
     for (std::size_t i = 1; i < events.size(); ++i) {
         EXPECT_EQ(events[i].at("ph").asString(), "C");
         EXPECT_EQ(events[i].at("pid").asInt(), -2);
+        EXPECT_EQ(events[i].at("name").asString(), "g");
         EXPECT_EQ(events[i].at("args").at("value").asNumber(), 7.0);
     }
+    EXPECT_EQ(events[2].at("ts").asNumber(), 200.0);
 }
 
 TEST(TelemetryTest, EmptySeriesAppendsNoEvents)
 {
-    json::Array events;
-    appendChromeCounterEvents(events, TelemetrySeries{});
-    EXPECT_TRUE(events.empty());
+    const TelemetrySeries empty;
+    EXPECT_EQ(chromeSpanJson({}, {}, &empty), chromeSpanJson({}));
 }
 
 } // namespace

@@ -36,8 +36,7 @@ const char *const kDefaultJson = R"CFG({
     },
     "determinism-taint": {
       "sinks": ["dump", "dumpPretty", "encodeRunRecord", "toJson",
-                "spanJson", "chromeSpanJson", "chromeTraceJson",
-                "telemetryCsv", "chromeCounterJson",
+                "spanJson", "chromeSpanJson", "telemetryCsv",
                 "decompositionCsv", "renderProvenanceTable",
                 "provenanceToJson", "renderCoefficientTable",
                 "renderCdf", "renderDecompositionTable"]
