@@ -5,12 +5,14 @@
  * Connects the attribution result to the paper's provisioning
  * motivation: the configuration tuned for tail latency (Fig 12's
  * recommendation) also sustains a higher request rate under the same
- * P99 SLO -- capacity bought purely by configuration.
+ * P99 SLO -- capacity bought purely by configuration. Each
+ * configuration is searched by the adaptive CapacityController; the
+ * runs it spent are printed beside the operating point.
  */
 
 #include "bench_common.h"
 
-#include "analysis/capacity.h"
+#include "drive/capacity_controller.h"
 
 using namespace treadmill;
 
@@ -24,7 +26,7 @@ main()
     const double sloUs = 250.0;
     std::printf("SLO: P99 <= %.0f us\n\n", sloUs);
     std::printf("  configuration                     max util   max"
-                " RPS    P99 at max\n");
+                " RPS    P99 at max   runs\n");
 
     // The Fig 12 endpoints: the worst-tail cell, the default cell,
     // and the tuned cell.
@@ -39,7 +41,8 @@ main()
     };
 
     for (const Case &c : cases) {
-        analysis::CapacityParams params;
+        drive::CapacityControllerParams controls;
+        drive::CapacitySearchParams &params = controls.search;
         params.base = bench::defaultExperiment(0.5);
         params.base.collector.measurementSamples =
             bench::paperScale() ? 10000 : 2500;
@@ -49,17 +52,19 @@ main()
         params.maxIterations = bench::paperScale() ? 8 : 5;
         params.runsPerPoint = bench::paperScale() ? 4 : 2;
         params.seed = 21;
+        controls.maxRunsPerProbe = bench::paperScale() ? 8 : 4;
 
-        const auto result = analysis::planCapacity(params);
+        const drive::CapacitySearchResult result =
+            drive::CapacityController(controls).search();
         if (result.infeasible) {
             std::printf("  %-32s  infeasible at any probed load\n",
                         c.label);
             continue;
         }
-        std::printf("  %-32s  %8.2f   %7.0f   %9.1f us\n", c.label,
-                    result.maxUtilization,
+        std::printf("  %-32s  %8.2f   %7.0f   %9.1f us   %u\n",
+                    c.label, result.maxUtilization,
                     result.maxRequestsPerSecond,
-                    result.latencyAtMaxUs);
+                    result.latencyAtMaxUs, result.totalRuns);
     }
 
     std::printf("\nExpectation: the turbo-enabled cell sustains a"

@@ -2,22 +2,24 @@
  * @file
  * Closed-loop capacity study driven through the run store.
  *
- * Phase 1 (default): find the maximum utilization (and RPS) the PR 6
+ * Phase 1 (default): find the maximum utilization (and RPS) the
  * four-shard cluster sustains under a P99 SLO, using the adaptive
  * CapacityController -- CI-resolved probes with fresh-seed re-probes
  * -- and persist every simulated run to a columnar archive. The
- * controller must spend strictly fewer runs than the fixed bisection
- * planner would on the same bracket while every narrowed probe is
- * backed by a confidence verdict. A 2^2 factorial attribution sweep
- * (shard-2 stall x balancer policy) then runs through the
- * StudyDriver's simulate -> persist -> fit pipeline with span tracing
- * on, and the fitted models land next to the archive as models.json.
+ * controller must spend strictly fewer runs than a non-adaptive
+ * bisection would on the same bracket (fixedPlannerRuns) while every
+ * narrowed probe is backed by a confidence verdict. A 2^2 factorial
+ * attribution sweep (shard-2 stall x balancer policy) then runs
+ * through the StudyDriver's simulate -> persist -> fit pipeline with
+ * span tracing on, and the fitted models land next to the archive as
+ * models.json.
  *
  * Phase 2 (--refit): open the archives read-only and reproduce every
  * conclusion with zero simulations -- verify both archives, re-fit
  * the factorial models bit-identically against models.json, re-derive
- * the capacity operating point from the stored per-run quantiles, and
- * re-rank tail-provenance segments from the stored rows.
+ * the capacity operating point from the stored per-run quantiles with
+ * the controller's own meets-SLO rule, and re-rank tail-provenance
+ * segments from the stored rows.
  *
  * Run: ./build/examples/capacity_study [output-dir] [--refit]
  * Archives live in <output-dir>/capacity_archive/{capacity,factorial}.
@@ -31,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/capacity.h"
 #include "analysis/export.h"
 #include "analysis/refit.h"
 #include "analysis/report.h"
@@ -51,8 +52,6 @@ namespace {
 
 constexpr double kSloUs = 2500.0;
 constexpr double kTau = 0.99;
-constexpr double kConfidence = 0.95;
-constexpr unsigned kMaxRunsPerProbe = 6;
 constexpr unsigned kRepsPerCell = 6;
 const std::vector<double> kQuantiles{0.5, 0.95, 0.99};
 
@@ -126,8 +125,8 @@ searchParams()
     controls.search.maxIterations = 8;
     controls.search.runsPerPoint = 3;
     controls.search.seed = 17;
-    controls.maxRunsPerProbe = kMaxRunsPerProbe;
-    controls.confidence = kConfidence;
+    controls.maxRunsPerProbe = 6;
+    controls.confidence = 0.95;
     controls.utilizationTolerance = 0.05;
     return controls;
 }
@@ -171,10 +170,9 @@ runStudy(const std::string &dir)
 
     for (const drive::ProbeOutcome &probe : cap.probes) {
         const char *verdict =
-            probe.comparison.verdict == analysis::SloVerdict::Clears
+            probe.comparison.verdict == drive::SloVerdict::Clears
                 ? "clears"
-            : probe.comparison.verdict ==
-                    analysis::SloVerdict::Violates
+            : probe.comparison.verdict == drive::SloVerdict::Violates
                 ? "violates"
                 : "uncertain";
         std::printf("  probe util %.3f: %zu runs, P99 %.0f us "
@@ -297,22 +295,6 @@ runStudy(const std::string &dir)
     return 0;
 }
 
-/** True when the stored probe point satisfies the SLO under the same
- *  decision rule the controller applied live. */
-bool
-storedPointMeetsSlo(const std::vector<double> &perRun)
-{
-    const analysis::SloComparison cmp =
-        analysis::compareToSlo(perRun, kSloUs, kConfidence);
-    if (cmp.verdict == analysis::SloVerdict::Clears)
-        return true;
-    if (cmp.verdict == analysis::SloVerdict::Violates)
-        return false;
-    // Uncertain points only survive at the probe budget, where the
-    // controller falls back to the mean.
-    return cmp.runs >= kMaxRunsPerProbe && cmp.mean <= kSloUs;
-}
-
 int
 refitStudy(const std::string &dir)
 {
@@ -345,10 +327,12 @@ refitStudy(const std::string &dir)
             if (taus[i] == kTau)
                 byUtilization[utilization].push_back(values[i]);
     }
+    // The controller's own meets-SLO rule decides every stored point.
+    const drive::CapacityController controller(searchParams());
     double rederivedMax = 0.0;
     bool feasible = false;
     for (const auto &[utilization, perRun] : byUtilization) {
-        if (storedPointMeetsSlo(perRun)) {
+        if (controller.meetsSlo(perRun)) {
             rederivedMax = std::max(rederivedMax, utilization);
             feasible = true;
         }

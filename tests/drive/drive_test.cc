@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for the drive layer: adaptive capacity search (it must beat
- * the fixed planner's run budget), parameter validation, and the
- * pipelined study driver's determinism across parallelism settings.
+ * Tests for the drive layer: the CI-aware SLO comparison, adaptive
+ * capacity search (it must beat a non-adaptive bisection's run
+ * budget), parameter validation, and the pipelined study driver's
+ * determinism across parallelism settings.
  */
 
 #include "drive/capacity_controller.h"
@@ -42,9 +43,50 @@ quickSearch(double sloUs)
     return params;
 }
 
+TEST(CompareToSloTest, TooFewRunsIsAlwaysUncertain)
+{
+    EXPECT_EQ(compareToSlo({}, 100.0).verdict, SloVerdict::Uncertain);
+    EXPECT_EQ(compareToSlo({50.0}, 100.0).verdict,
+              SloVerdict::Uncertain);
+}
+
+TEST(CompareToSloTest, TightSamplesResolveCleanly)
+{
+    // Low-variance samples far from the bound give a decisive CI.
+    const std::vector<double> fast = {99.0, 100.0, 101.0};
+    const SloComparison clears = compareToSlo(fast, 1000.0);
+    EXPECT_EQ(clears.verdict, SloVerdict::Clears);
+    EXPECT_EQ(clears.runs, 3u);
+    EXPECT_NEAR(clears.mean, 100.0, 1e-9);
+    EXPECT_LT(clears.ciHighUs, 1000.0);
+
+    const SloComparison violates = compareToSlo(fast, 10.0);
+    EXPECT_EQ(violates.verdict, SloVerdict::Violates);
+    EXPECT_GT(violates.ciLowUs, 10.0);
+}
+
+TEST(CompareToSloTest, StraddlingIntervalStaysUncertain)
+{
+    // Spread across the bound: the CI must contain it.
+    const std::vector<double> noisy = {60.0, 140.0};
+    const SloComparison c = compareToSlo(noisy, 100.0);
+    EXPECT_EQ(c.verdict, SloVerdict::Uncertain);
+    EXPECT_LE(c.ciLowUs, 100.0);
+    EXPECT_GE(c.ciHighUs, 100.0);
+}
+
+TEST(CompareToSloTest, WiderConfidenceWidensTheInterval)
+{
+    const std::vector<double> samples = {90.0, 100.0, 110.0, 105.0};
+    const SloComparison narrow = compareToSlo(samples, 100.0, 0.80);
+    const SloComparison wide = compareToSlo(samples, 100.0, 0.99);
+    EXPECT_LT(narrow.ciHighUs - narrow.ciLowUs,
+              wide.ciHighUs - wide.ciLowUs);
+}
+
 TEST(CapacityControllerTest, ValidatesEveryField)
 {
-    // Shared validation with the fixed planner names the base field...
+    // The search fields are validated by name...
     CapacityControllerParams bad = quickSearch(100.0);
     bad.search.sloUs = 0.0;
     EXPECT_THROW(CapacityController{bad}, ConfigError);
@@ -54,6 +96,9 @@ TEST(CapacityControllerTest, ValidatesEveryField)
     bad = quickSearch(100.0);
     bad.search.utilizationLow = 0.9;
     bad.search.utilizationHigh = 0.5;
+    EXPECT_THROW(CapacityController{bad}, ConfigError);
+    bad = quickSearch(100.0);
+    bad.search.runsPerPoint = 0;
     EXPECT_THROW(CapacityController{bad}, ConfigError);
     // ...and the controller's own knobs get the same treatment.
     bad = quickSearch(100.0);
@@ -73,8 +118,9 @@ TEST(CapacityControllerTest, ValidatesEveryField)
 TEST(CapacityControllerTest, EasySloResolvesInFewerRunsThanFixed)
 {
     // A loose SLO lets both bracket probes clear on their first wave,
-    // so the adaptive search must come in strictly under the fixed
-    // planner's (2 + maxIterations) * runsPerPoint budget.
+    // so the adaptive search must come in strictly under a
+    // non-adaptive bisection's (2 + maxIterations) * runsPerPoint
+    // budget.
     CapacityController controller(quickSearch(1.0e6));
     const CapacitySearchResult result = controller.search();
     EXPECT_FALSE(result.infeasible);
@@ -86,8 +132,92 @@ TEST(CapacityControllerTest, EasySloResolvesInFewerRunsThanFixed)
     for (const ProbeOutcome &probe : result.probes) {
         EXPECT_TRUE(probe.meetsSlo);
         EXPECT_TRUE(probe.earlyExit);
-        EXPECT_EQ(probe.comparison.verdict,
-                  analysis::SloVerdict::Clears);
+        EXPECT_EQ(probe.comparison.verdict, SloVerdict::Clears);
+    }
+}
+
+TEST(CapacityControllerTest, ModerateSloLandsInsideTheBracket)
+{
+    // An SLO between the low-load and high-load P99 puts the answer
+    // strictly inside the bracket.
+    const CapacitySearchResult result =
+        CapacityController(quickSearch(200.0)).search();
+    ASSERT_FALSE(result.infeasible);
+    EXPECT_GT(result.maxUtilization, 0.05);
+    EXPECT_LT(result.maxUtilization, 0.90);
+    EXPECT_LE(result.latencyAtMaxUs, 200.0);
+    EXPECT_GT(result.maxRequestsPerSecond, 0.0);
+}
+
+TEST(CapacityControllerTest, ProbeLatencyIncreasesWithUtilization)
+{
+    const CapacitySearchResult result =
+        CapacityController(quickSearch(200.0)).search();
+    // The two bracket probes: low util must be faster than high util.
+    ASSERT_GE(result.probes.size(), 2u);
+    EXPECT_LT(result.probes[0].comparison.mean,
+              result.probes[1].comparison.mean);
+}
+
+TEST(CapacityControllerTest, MeetsSloFallsBackToTheMeanAtTheBudget)
+{
+    // sloUs = 200, maxRunsPerProbe = 4.
+    const CapacityController controller(quickSearch(200.0));
+    EXPECT_TRUE(controller.meetsSlo({99.0, 100.0, 101.0}));
+    EXPECT_FALSE(controller.meetsSlo({999.0, 1000.0, 1001.0}));
+    // A straddling CI decides nothing before the budget is spent...
+    EXPECT_FALSE(controller.meetsSlo({60.0, 300.0}));
+    // ...and the mean decides it once the budget is spent.
+    EXPECT_TRUE(controller.meetsSlo({60.0, 300.0, 60.0, 300.0}));
+    EXPECT_FALSE(controller.meetsSlo({100.0, 340.0, 100.0, 340.0}));
+}
+
+TEST(CapacityControllerTest, MeetsSloReproducesEveryLiveDecision)
+{
+    // Re-deciding each probe from its stored per-run quantiles (what
+    // a re-analysis from an archive sees) must give the live answer.
+    CapacityController controller(quickSearch(200.0));
+    const CapacitySearchResult result = controller.search();
+    ASSERT_GE(result.probes.size(), 3u);
+    for (const ProbeOutcome &probe : result.probes)
+        EXPECT_EQ(controller.meetsSlo(probe.perRunQuantileUs),
+                  probe.meetsSlo)
+            << "probe at util " << probe.utilization;
+}
+
+TEST(CapacityControllerTest, SearchIsIdenticalSerialVsParallel)
+{
+    // Each probe's runs fan out across threads, but every run derives
+    // its state from its own seed and lands in its own slot.
+    CapacityControllerParams params;
+    params.search.base.targetUtilization = 0.5;
+    params.search.base.collector.warmUpSamples = 50;
+    params.search.base.collector.calibrationSamples = 50;
+    params.search.base.collector.measurementSamples = 400;
+    params.search.sloUs = 400.0;
+    params.search.maxIterations = 2;
+    params.search.runsPerPoint = 3;
+
+    params.search.parallelism = exec::Parallelism::serial();
+    const CapacitySearchResult serial =
+        CapacityController(params).search();
+    params.search.parallelism = exec::Parallelism{8};
+    const CapacitySearchResult parallel =
+        CapacityController(params).search();
+
+    EXPECT_EQ(parallel.totalRuns, serial.totalRuns);
+    EXPECT_EQ(parallel.maxUtilization, serial.maxUtilization);
+    EXPECT_EQ(parallel.latencyAtMaxUs, serial.latencyAtMaxUs);
+    ASSERT_EQ(parallel.probes.size(), serial.probes.size());
+    for (std::size_t i = 0; i < serial.probes.size(); ++i) {
+        const ProbeOutcome &a = serial.probes[i];
+        const ProbeOutcome &b = parallel.probes[i];
+        EXPECT_EQ(b.utilization, a.utilization) << "probe " << i;
+        EXPECT_EQ(b.comparison.verdict, a.comparison.verdict)
+            << "probe " << i;
+        EXPECT_EQ(b.meetsSlo, a.meetsSlo) << "probe " << i;
+        EXPECT_EQ(b.perRunQuantileUs, a.perRunQuantileUs)
+            << "probe " << i;
     }
 }
 

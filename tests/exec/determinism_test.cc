@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "analysis/attribution.h"
-#include "analysis/capacity.h"
 #include "analysis/screening.h"
 #include "core/experiment.h"
 #include "fault/plan.h"
@@ -241,29 +240,6 @@ TEST(DeterminismTest, ScreeningIdenticalSerialVsParallel)
             EXPECT_DOUBLE_EQ(parallel[f].pValue, serial[f].pValue);
             EXPECT_EQ(parallel[f].significant, serial[f].significant);
         }
-    }
-}
-
-TEST(DeterminismTest, CapacityProbeIdenticalSerialVsParallel)
-{
-    analysis::CapacityParams params;
-    params.base = quickParams();
-    params.sloUs = 400.0;
-    params.maxIterations = 2;
-    params.runsPerPoint = 3;
-
-    params.parallelism = exec::Parallelism::serial();
-    const auto serial = analysis::planCapacity(params);
-
-    params.parallelism = exec::Parallelism{8};
-    const auto parallel = analysis::planCapacity(params);
-
-    EXPECT_DOUBLE_EQ(parallel.maxUtilization, serial.maxUtilization);
-    EXPECT_DOUBLE_EQ(parallel.latencyAtMaxUs, serial.latencyAtMaxUs);
-    ASSERT_EQ(parallel.probes.size(), serial.probes.size());
-    for (std::size_t i = 0; i < serial.probes.size(); ++i) {
-        EXPECT_DOUBLE_EQ(parallel.probes[i].latencyUs,
-                         serial.probes[i].latencyUs);
     }
 }
 

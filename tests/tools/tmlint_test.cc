@@ -386,7 +386,7 @@ TEST(TmlintLayering, DriveSitsAboveAnalysisButIsNotIncludable)
     // drive/ may reach down into analysis, core, and store...
     Linter linter(defaultConfig());
     linter.lintFile("src/drive/capacity_controller.cc",
-                    "#include \"analysis/capacity.h\"\n"
+                    "#include \"analysis/refit.h\"\n"
                     "#include \"core/run_record.h\"\n"
                     "#include \"store/writer.h\"\n");
     const auto down = linter.finish();
