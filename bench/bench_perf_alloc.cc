@@ -72,6 +72,7 @@ BM_ClientLoopAllocsPerRequest(benchmark::State &state)
         sim.runUntil(horizon);
         allocs += util::allocCount() - allocsBefore;
         requests += inst.received() - receivedBefore;
+        benchmark::DoNotOptimize(requests);
     }
     state.counters["allocs_per_request"] = benchmark::Counter(
         requests == 0 ? 0.0

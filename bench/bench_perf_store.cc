@@ -86,8 +86,10 @@ BM_StoreWriteRun(benchmark::State &state)
     // Rewriting seq 0 keeps the directory one file large however long
     // the benchmark runs; each iteration still pays the full encode,
     // CRC, write, and rename.
-    for (auto _ : state)
+    for (auto _ : state) {
         writer.writeRun(0, rec);
+        benchmark::DoNotOptimize(writer.runsWritten());
+    }
 
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations()) *

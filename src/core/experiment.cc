@@ -1,6 +1,7 @@
 #include "core/experiment.h"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 
 #include "fault/injector.h"
@@ -60,29 +61,100 @@ ExperimentResult::instancesAtTarget() const
     return n;
 }
 
+namespace {
+
+/** Standard quantile grid extracted from every instance collector. */
+const double kQuantileGrid[] = {0.5, 0.9, 0.95, 0.99, 0.999};
+
+/** The wire packet carrying @p r's request (kind Request) or its
+ *  response (kind Response). */
+net::Packet
+packetOf(const server::Request &r, net::PacketKind kind)
+{
+    return {r.seqId, r.connectionId,
+            kind == net::PacketKind::Request ? r.requestBytes
+                                             : r.responseBytes,
+            kind};
+}
+
+/**
+ * One server machine and the service it runs: the front server and
+ * every cluster shard alike. Requests enter through `sink`, the fault
+ * shim when one is wired, else the service itself.
+ */
+struct Node {
+    std::unique_ptr<hw::Machine> machine;
+    std::unique_ptr<server::Service> service;
+    std::unique_ptr<server::ServiceFaultShim> shim;
+    server::Service *sink = nullptr;
+    /** Expected worker seconds per request at nominal frequency. */
+    double serviceSeconds = 0.0;
+
+    template <class Server>
+    void
+    install(std::unique_ptr<Server> server, double meanValueBytes)
+    {
+        serviceSeconds = server->expectedServiceSeconds(meanValueBytes);
+        service = std::move(server);
+        sink = service.get();
+    }
+
+    /** Put a fault shim, claiming "<scope>.fault", in front. */
+    void
+    addShim(sim::Simulation &sim, const std::string &scope)
+    {
+        shim = std::make_unique<server::ServiceFaultShim>(sim, *service,
+                                                          scope);
+        sink = shim.get();
+    }
+};
+
+/**
+ * Build the node @p backend names: -1 is the front server (the run's
+ * workload, scope "server"), b >= 0 is cluster shard b (Memcached,
+ * scope "backend<b>", shimmed when the run has a fault plan).
+ */
+Node
+buildNode(sim::Simulation &sim, const ExperimentParams &params,
+          int backend)
+{
+    // Shards get distinct placement/jitter streams, derived only from
+    // the run seed and the shard id.
+    const std::uint64_t seed =
+        backend < 0 ? params.seed
+                    : params.seed * 8191 +
+                          static_cast<std::uint64_t>(backend) + 1;
+    const double valueBytes = params.workload.valueBytesMean;
+    Node node;
+    node.machine = std::make_unique<hw::Machine>(sim, params.machine,
+                                                 params.config, seed);
+    if (backend >= 0) {
+        const std::string scope = strprintf("backend%d", backend);
+        node.install(std::make_unique<server::MemcachedServer>(
+                         *node.machine, params.memcachedParams, seed,
+                         scope, /*backendRole=*/true),
+                     valueBytes);
+        if (!params.faultPlan.empty())
+            node.addShim(sim, scope);
+    } else if (params.kind == WorkloadKind::Memcached) {
+        node.install(std::make_unique<server::MemcachedServer>(
+                         *node.machine, params.memcachedParams, seed),
+                     valueBytes);
+    } else {
+        node.install(std::make_unique<server::McrouterServer>(
+                         *node.machine, params.mcrouterParams, seed),
+                     valueBytes);
+    }
+    return node;
+}
+
+/** The total request rate for a front server whose expected service
+ *  time is @p serviceSeconds. */
 double
-deriveRequestRate(const ExperimentParams &params)
+rateFor(const ExperimentParams &params, double serviceSeconds)
 {
     if (params.requestsPerSecond > 0.0)
         return params.requestsPerSecond;
-
-    // Probe the expected per-request service time under this config by
-    // building a scratch machine with the run's placement.
-    sim::Simulation scratch;
-    hw::Machine machine(scratch, params.machine, params.config,
-                        params.seed);
-    double serviceSeconds = 0.0;
-    if (params.kind == WorkloadKind::Memcached) {
-        server::MemcachedServer probe(machine, params.memcachedParams,
-                                      params.seed);
-        serviceSeconds =
-            probe.expectedServiceSeconds(params.workload.valueBytesMean);
-    } else {
-        server::McrouterServer probe(machine, params.mcrouterParams,
-                                     params.seed);
-        serviceSeconds =
-            probe.expectedServiceSeconds(params.workload.valueBytesMean);
-    }
     TM_ASSERT(serviceSeconds > 0.0, "service time must be positive");
     const double capacity =
         static_cast<double>(params.machine.workerThreads) /
@@ -90,70 +162,201 @@ deriveRequestRate(const ExperimentParams &params)
     return params.targetUtilization * capacity;
 }
 
-namespace {
+/** The router's relay to one shard, as a balancer backend: fabric
+ *  uplink, the shard's sink, fabric downlink. Up while the shard is. */
+class FabricHop : public server::Service
+{
+  public:
+    FabricHop(sim::Simulation &sim_, const net::ShardFabric &fabric_,
+              std::uint32_t shard_, server::Service &sink_)
+        : sim(sim_), fabric(fabric_), shard(shard_), sink(sink_)
+    {
+    }
 
-/** Standard quantile grid extracted from every instance collector. */
-const double kQuantileGrid[] = {0.5, 0.9, 0.95, 0.99, 0.999};
+    FabricHop(const FabricHop &) = delete;
+    FabricHop &operator=(const FabricHop &) = delete;
 
-/** Mutable state shared by the wiring lambdas. */
+    void
+    receive(server::RequestPtr request, server::RespondFn respond) override
+    {
+        const net::Packet pkt =
+            packetOf(*request, net::PacketKind::Request);
+        fabric.toBackend(shard).send(
+            sim, pkt,
+            [this, request = std::move(request),
+             respond = std::move(respond)](const net::Packet &) mutable {
+                request->backendNicArrival = sim.now();
+                sink.receive(std::move(request),
+                             [this, respond = std::move(respond)](
+                                 server::RequestPtr response) mutable {
+                                 relayBack(std::move(response),
+                                           std::move(respond));
+                             });
+            });
+    }
+
+    bool up() const override { return sink.up(); }
+
+  private:
+    void
+    relayBack(server::RequestPtr response, server::RespondFn respond)
+    {
+        const net::Packet pkt =
+            packetOf(*response, net::PacketKind::Response);
+        fabric.fromBackend(shard).send(
+            sim, pkt,
+            [respond = std::move(respond),
+             response = std::move(response)](const net::Packet &) mutable {
+                respond(std::move(response));
+            });
+    }
+
+    sim::Simulation &sim;
+    const net::ShardFabric &fabric;
+    std::uint32_t shard;
+    server::Service &sink;
+};
+
+/** One run's simulator state: the topology the build stage makes and
+ *  the optional modules attached to it. */
 struct Harness {
-    ExperimentParams params;
-    sim::Simulation sim;
-    std::unique_ptr<hw::Machine> machine;
-    std::unique_ptr<server::MemcachedServer> memcached;
-    std::unique_ptr<server::McrouterServer> mcrouter;
-    std::unique_ptr<net::Cluster> cluster;
-    net::PacketCapture capture;
-    /** Sharded backend tier; all empty/null when
-     *  params.cluster.backends == 0, so the classic path builds no
-     *  extra state at all. */
-    std::unique_ptr<net::ShardFabric> fabric;
-    std::unique_ptr<lb::LoadBalancer> balancer;
-    std::vector<std::unique_ptr<hw::Machine>> backendMachines;
-    std::vector<std::unique_ptr<server::MemcachedServer>> backendServers;
-    std::vector<std::unique_ptr<server::ServiceFaultShim>> backendShims;
-    /** Fault machinery; both null when params.faultPlan is empty, so
-     *  an un-faulted run takes the raw service path untouched. */
-    std::unique_ptr<server::ServiceFaultShim> faultShim;
-    std::unique_ptr<fault::FaultInjector> injector;
-    std::vector<std::unique_ptr<LoadTesterInstance>> instances;
-    obs::SpanRecorder spanRecorder;
-    obs::TelemetrySampler sampler;
-    bool deadlineHit = false;
-
-    std::uint64_t responsesCompleted = 0;
-    obs::Histogram serverComponentUs;
-    obs::Histogram networkComponentUs;
-    obs::Histogram clientComponentUs;
-    obs::Histogram getLatencyUs;
-    obs::Histogram setLatencyUs;
-
-    server::Service &
-    rawService()
+    /** Build: the front node and the client network. */
+    explicit Harness(const ExperimentParams &p)
+        : params(p), spanRecorder(p.trace), sampler(p.telemetry),
+          front(buildNode(sim, p, -1))
     {
-        if (memcached)
-            return *memcached;
-        return *mcrouter;
+        std::vector<net::Cluster::ClientSpec> clientSpecs(
+            params.tester.clientMachines);
+        if (params.oneRemoteRackClient && !clientSpecs.empty())
+            clientSpecs[0].remoteRack = true;
+        cluster = std::make_unique<net::Cluster>(
+            sim, params.machine.nicGbps, clientSpecs);
     }
 
-    /** The request sink: the fault shim when one is wired, else the
-     *  real server. */
-    server::Service &
-    service()
+    /** Build: one load-tester instance per client machine. */
+    void
+    addLoadTesters()
     {
-        if (faultShim)
-            return *faultShim;
-        return rawService();
+        targetRps = rateFor(params, front.serviceSeconds);
+        const double perClientRps =
+            targetRps / static_cast<double>(params.tester.clientMachines);
+        // Estimate the mean response time for closed-loop slot sizing:
+        // expected service + network round trip + client costs.
+        const double estMeanResponseSeconds = front.serviceSeconds + 20e-6;
+
+        for (std::size_t i = 0; i < params.tester.clientMachines; ++i) {
+            ClientParams cp;
+            cp.index = i;
+            cp.requestsPerSecond = perClientRps;
+            cp.connections = params.connectionsPerClientMux;
+            cp.loop = params.tester.loop;
+            cp.closedLoopSlots =
+                params.tester.connectionsPerClient > 0
+                    ? params.tester.connectionsPerClient
+                    : closedLoopConnectionsFor(perClientRps,
+                                               estMeanResponseSeconds);
+            cp.rateLimitedClosedLoop = params.tester.rateLimitedClosedLoop;
+            cp.collector = params.collector;
+            cp.sendCostUs = params.clientSendCostUs;
+            cp.receiveCostUs = params.clientReceiveCostUs;
+            cp.kernelDelayUs = params.clientKernelDelayUs;
+            cp.resilience = params.resilience;
+            cp.recordSpans = params.trace.enabled;
+            cp.seed = params.seed * 1009 + i;
+            instances.push_back(std::make_unique<LoadTesterInstance>(
+                sim, cp, params.workload,
+                [this, i](server::RequestPtr request) {
+                    transmit(i, std::move(request));
+                }));
+        }
+        for (auto &instance : instances) {
+            instance->setCompletionHook(
+                [this](const server::RequestPtr &req) { complete(req); });
+        }
     }
 
-    /** Backend @p i's request sink: its shim when faults are wired. */
-    server::Service &
-    backendService(std::size_t i)
+    /** Client NIC -> network -> the front node's sink. */
+    void
+    transmit(std::size_t client, server::RequestPtr request)
     {
-        if (!backendShims.empty())
-            return *backendShims[i];
-        return *backendServers[i];
+        const net::Packet pkt =
+            packetOf(*request, net::PacketKind::Request);
+        cluster->clientToServer(client).send(
+            sim, pkt,
+            [this, request = std::move(request)](
+                const net::Packet &arrived) mutable {
+                capture.onRequest(arrived, sim.now());
+                request->nicArrival = sim.now();
+                front.sink->receive(std::move(request),
+                                    [this](server::RequestPtr response) {
+                                        returnToClient(std::move(response));
+                                    });
+            });
     }
+
+    /** The response leaves the front NIC: network -> client NIC. */
+    void
+    returnToClient(server::RequestPtr response)
+    {
+        const net::Packet pkt =
+            packetOf(*response, net::PacketKind::Response);
+        capture.onResponse(pkt, sim.now());
+        const auto client = static_cast<std::size_t>(response->clientIndex);
+        cluster->serverToClient(client).send(
+            sim, pkt,
+            [this,
+             response = std::move(response)](const net::Packet &) mutable {
+                response->clientNicArrival = sim.now();
+                instances[static_cast<std::size_t>(response->clientIndex)]
+                    ->onResponseDelivered(std::move(response));
+            });
+    }
+
+    /** Decompose a completed request's latency, stop load at
+     *  per-instance targets, and stop the run once all are done. */
+    void
+    complete(const server::RequestPtr &req)
+    {
+        ++responsesCompleted;
+        serverComponentUs.record(req->serverLatencyUs());
+        networkComponentUs.record(
+            toMicros((req->nicArrival - req->clientSend) +
+                     (req->clientNicArrival - req->nicDeparture)));
+        clientComponentUs.record(
+            toMicros((req->clientSend - req->intendedSend) +
+                     (req->clientReceive - req->clientNicArrival)));
+        (req->op == server::OpType::Get ? getLatencyUs : setLatencyUs)
+            .record(req->clientLatencyUs());
+
+        bool allDone = true;
+        for (auto &inst : instances) {
+            if (inst->done())
+                inst->stopLoad();
+            else
+                allDone = false;
+        }
+        if (allDone)
+            sim.stop();
+    }
+
+    /** Run: start the load; simulate until every instance is done or
+     *  the deadline hits. */
+    void
+    run()
+    {
+        for (auto &instance : instances)
+            instance->start();
+        sim.scheduleAt(params.deadline, [this] {
+            warn("experiment", "hit the simulated-time deadline");
+            deadlineHit = true;
+            sim.stop();
+        });
+        sim.run();
+    }
+
+    /** Harvest: what every run reports, ending with the metrics
+     *  snapshot. */
+    ExperimentResult harvest();
 
     /**
      * One telemetry snapshot, self-rescheduling on the sampler's
@@ -167,20 +370,124 @@ struct Harness {
         if (!sampler.full())
             sim.schedule(sampler.period(), [this] { telemetryTick(); });
     }
+
+    ExperimentParams params;
+    sim::Simulation sim;
+    obs::SpanRecorder spanRecorder;
+    obs::TelemetrySampler sampler;
+    Node front;
+    std::unique_ptr<net::Cluster> cluster;
+    net::PacketCapture capture;
+    std::vector<std::unique_ptr<LoadTesterInstance>> instances;
+    double targetRps = 0.0;
+    bool deadlineHit = false;
+
+    /** Cluster tier; all empty when params.cluster.backends == 0. */
+    std::unique_ptr<net::ShardFabric> fabric;
+    std::unique_ptr<lb::LoadBalancer> balancer;
+    std::vector<Node> shards;
+    std::vector<std::unique_ptr<FabricHop>> hops;
+
+    /** Null when params.faultPlan is empty. */
+    std::unique_ptr<fault::FaultInjector> injector;
+
+    std::uint64_t responsesCompleted = 0;
+    obs::Histogram serverComponentUs;
+    obs::Histogram networkComponentUs;
+    obs::Histogram clientComponentUs;
+    obs::Histogram getLatencyUs;
+    obs::Histogram setLatencyUs;
 };
 
-/**
- * Build the sharded backend tier: fabric links, per-shard machines and
- * Memcached services (scoped "backend<i>"), per-shard fault shims when
- * the run has a fault plan, and the balancer whose forward hooks carry
- * each request across the fabric and back.
- */
-void
-wireClusterTier(Harness *h)
+ExperimentResult
+Harness::harvest()
 {
-    const ExperimentParams &params = h->params;
-    const ClusterParams &cl = params.cluster;
-    if (params.kind != WorkloadKind::Mcrouter)
+    ExperimentResult result;
+    result.targetRps = targetRps;
+    result.simulatedTime = sim.now();
+    result.serverUtilization = front.machine->workerUtilization();
+    result.frequencyTransitions =
+        front.machine->totalFrequencyTransitions();
+    result.achievedRps =
+        sim.now() > 0 ? static_cast<double>(responsesCompleted) /
+                            toSeconds(sim.now())
+                      : 0.0;
+    result.groundTruthUs = capture.latenciesUs();
+    result.deadlineHit = deadlineHit;
+
+    // Surface the tcpdump-analogue's diagnostics instead of silently
+    // dropping them. Unmatched responses mean the capture's matching
+    // broke -- always worth a warning. Requests still outstanding at
+    // the end are expected teardown residue (in-flight when the last
+    // collector finished), so they only warrant a warning when the run
+    // was cut short by its deadline.
+    result.captureUnmatchedResponses = capture.unmatchedResponses();
+    result.captureOutstanding = capture.outstanding();
+    if (result.captureUnmatchedResponses > 0) {
+        warn("capture",
+             strprintf("%llu responses had no matching request",
+                       static_cast<unsigned long long>(
+                           result.captureUnmatchedResponses)));
+    }
+    if (result.captureOutstanding > 0) {
+        const std::string msg = strprintf(
+            "%zu requests still outstanding at experiment end",
+            result.captureOutstanding);
+        if (deadlineHit)
+            warn("capture", msg);
+        else
+            inform("capture", msg);
+    }
+
+    result.serverComponentUs = std::move(serverComponentUs);
+    result.networkComponentUs = std::move(networkComponentUs);
+    result.clientComponentUs = std::move(clientComponentUs);
+    result.getLatencyUs = std::move(getLatencyUs);
+    result.setLatencyUs = std::move(setLatencyUs);
+
+    for (std::size_t i = 0; i < instances.size(); ++i) {
+        const LoadTesterInstance &inst = *instances[i];
+        InstanceReport report;
+        report.rawSamples = inst.collector().rawSamples();
+        report.measured = inst.collector().measured();
+        report.reachedTarget = inst.done();
+        report.cpuUtilization = inst.cpuUtilization();
+        report.remoteRack = cluster->isRemoteRack(i);
+        report.outstandingAtSend = inst.outstandingAtSend();
+        report.trajectory = inst.collector().trajectory();
+        if (report.measured > 0) {
+            for (double q : kQuantileGrid)
+                report.quantiles[q] = inst.collector().quantile(q);
+        }
+        result.instances.push_back(std::move(report));
+    }
+
+    // Final gauge values that are only known at harvest time, then a
+    // snapshot of everything the run's components recorded.
+    obs::MetricsRegistry &registry = sim.metrics();
+    for (std::size_t i = 0; i < instances.size(); ++i) {
+        registry.gauge(strprintf("client%zu.cpu_utilization", i))
+            .set(instances[i]->cpuUtilization());
+    }
+    registry.gauge("server.worker_utilization")
+        .set(front.machine->workerUtilization());
+    result.metrics = registry.snapshot();
+    return result;
+}
+
+/** An optional module's harvest: fills its slice of the result. */
+using Harvest = std::function<void(ExperimentResult &)>;
+
+/**
+ * Cluster tier: the shard fabric, the balancer, and per backend a
+ * shard Node and the FabricHop the balancer routes through. The router
+ * then forwards there instead of its modelled backend delay.
+ */
+Harvest
+attachClusterTier(Harness &h)
+{
+    const ClusterParams &cl = h.params.cluster;
+    if (h.params.kind != WorkloadKind::Mcrouter)
         throw ConfigError(
             "a backend cluster requires the mcrouter workload");
     if (cl.racks == 0)
@@ -193,7 +500,7 @@ wireClusterTier(Harness *h)
         specs[b].rack = cl.rackOf(b);
         specs[b].linkGbps = cl.backendLinkGbps;
     }
-    h->fabric = std::make_unique<net::ShardFabric>(h->sim, specs);
+    h.fabric = std::make_unique<net::ShardFabric>(h.sim, specs);
 
     lb::BalancerParams bp;
     bp.backends = cl.backends;
@@ -202,71 +509,145 @@ wireClusterTier(Harness *h)
     bp.maxInflightPerBackend = cl.maxInflightPerBackend;
     bp.policy = cl.policy;
     bp.edfSlackUs = cl.edfSlackUs;
-    bp.seed = params.seed;
-    h->balancer = std::make_unique<lb::LoadBalancer>(h->sim, bp);
+    bp.seed = h.params.seed;
+    h.balancer = std::make_unique<lb::LoadBalancer>(h.sim, bp);
 
-    const bool withShims = !params.faultPlan.empty();
+    h.shards.reserve(cl.backends);
     for (std::uint32_t b = 0; b < cl.backends; ++b) {
-        // Distinct placement/jitter streams per shard, derived only
-        // from the run seed and the shard id.
-        const std::uint64_t shardSeed = params.seed * 8191 + b + 1;
-        h->backendMachines.push_back(std::make_unique<hw::Machine>(
-            h->sim, params.machine, params.config, shardSeed));
-        h->backendServers.push_back(
-            std::make_unique<server::MemcachedServer>(
-                *h->backendMachines.back(), params.memcachedParams,
-                shardSeed, strprintf("backend%u", b),
-                /*backendRole=*/true));
-        if (withShims) {
-            h->backendShims.push_back(
-                std::make_unique<server::ServiceFaultShim>(
-                    h->sim, *h->backendServers.back(),
-                    strprintf("backend%u", b)));
-        }
-
-        lb::LoadBalancer::Backend hook;
-        hook.forward = [h, b](server::RequestPtr request,
-                              server::RespondFn respond) {
-            net::Packet pkt;
-            pkt.seqId = request->seqId;
-            pkt.connectionId = request->connectionId;
-            pkt.bytes = request->requestBytes;
-            pkt.kind = net::PacketKind::Request;
-            h->fabric->toBackend(b).send(
-                h->sim, pkt,
-                [h, b, request = std::move(request),
-                 respond = std::move(respond)](const net::Packet &) mutable {
-                    request->backendNicArrival = h->sim.now();
-                    h->backendService(b).receive(
-                        std::move(request),
-                        [h, b, respond = std::move(respond)](
-                            server::RequestPtr resp) mutable {
-                            net::Packet out;
-                            out.seqId = resp->seqId;
-                            out.connectionId = resp->connectionId;
-                            out.bytes = resp->responseBytes;
-                            out.kind = net::PacketKind::Response;
-                            h->fabric->fromBackend(b).send(
-                                h->sim, out,
-                                [respond = std::move(respond),
-                                 resp = std::move(resp)](
-                                    const net::Packet &) mutable {
-                                    respond(std::move(resp));
-                                });
-                        });
-                });
-        };
-        if (withShims) {
-            server::ServiceFaultShim *shim = h->backendShims.back().get();
-            hook.healthy = [shim] { return !shim->crashed(); };
-        }
-        h->balancer->addBackend(std::move(hook));
+        h.shards.push_back(buildNode(h.sim, h.params, static_cast<int>(b)));
+        h.hops.push_back(std::make_unique<FabricHop>(
+            h.sim, *h.fabric, b, *h.shards.back().sink));
+        h.balancer->addBackend(*h.hops.back());
     }
+    // The workload check above makes the front service an mcrouter.
+    static_cast<server::McrouterServer &>(*h.front.service)
+        .setBackendPool(h.balancer.get());
 
-    h->mcrouter->setBackendPool(h->balancer.get());
+    return [&h](ExperimentResult &result) {
+        for (std::uint32_t b = 0; b < h.shards.size(); ++b) {
+            // buildNode makes every shard a MemcachedServer.
+            result.backendServed.push_back(
+                static_cast<const server::MemcachedServer &>(
+                    *h.shards[b].service)
+                    .served());
+            result.backendDispatched.push_back(
+                h.balancer->dispatchedTo(b));
+        }
+        result.lbQueued = h.balancer->queued();
+        result.lbUnroutable = h.balancer->unroutable();
+        result.lbFailovers = h.balancer->failovers();
+    };
+}
+
+/**
+ * Faults: a shim in front of the front server (each shard got its own
+ * at build), then the injector, handed every hook point at once.
+ */
+Harvest
+attachFaults(Harness &h)
+{
+    h.front.addShim(h.sim, "server");
+    fault::FaultHooks hooks;
+    hooks.links = h.cluster->allLinks();
+    hooks.nodes.push_back(
+        {h.front.shim.get(), &h.front.machine->mutableNic()});
+    for (const Node &shard : h.shards)
+        hooks.nodes.push_back(
+            {shard.shim.get(), &shard.machine->mutableNic()});
+    if (h.fabric) {
+        const std::vector<net::Link *> fabricLinks = h.fabric->allLinks();
+        hooks.links.insert(hooks.links.end(), fabricLinks.begin(),
+                           fabricLinks.end());
+        for (std::uint32_t r = 0; r < h.params.cluster.racks; ++r)
+            hooks.racks.push_back(h.fabric->rackLinks(r));
+    }
+    h.injector = std::make_unique<fault::FaultInjector>(
+        h.sim, h.params.faultPlan, h.params.seed, std::move(hooks));
+
+    return [&h](ExperimentResult &result) {
+        result.faultWindows = h.injector->annotations();
+    };
+}
+
+/** Spans: every instance hands its completed span trees to the
+ *  recorder, sized up front so recording never reallocates. */
+Harvest
+attachSpans(Harness &h)
+{
+    for (auto &instance : h.instances) {
+        instance->setSpanSink(
+            [&h](const obs::SpanTrace &s) { h.spanRecorder.record(s); });
+    }
+    // Headroom for retried/cloned attempts.
+    const SampleCollector::Params &c = h.params.collector;
+    h.spanRecorder.reserveFor(
+        static_cast<std::size_t>(h.params.tester.clientMachines) *
+            (c.warmUpSamples + c.calibrationSamples +
+             c.measurementSamples) * 5 / 4 +
+        1024);
+
+    return [&h](ExperimentResult &result) {
+        result.spans = h.spanRecorder.takeSpans();
+    };
+}
+
+/**
+ * Telemetry: register every probe (registration order is the stable
+ * export order), then kick the first tick at t=0. Probes are plain
+ * reads of state the run maintains anyway.
+ */
+Harvest
+attachTelemetry(Harness &h)
+{
+    obs::TelemetrySampler &sampler = h.sampler;
+    sampler.addProbe("sim.event_queue_depth", [&h] {
+        return static_cast<double>(h.sim.pendingEvents());
+    });
+    const hw::Machine *front = h.front.machine.get();
+    sampler.addProbe("server.worker_utilization",
+                     [front] { return front->workerUtilization(); });
+    for (std::size_t i = 0; i < h.instances.size(); ++i) {
+        const LoadTesterInstance *inst = h.instances[i].get();
+        sampler.addProbe(strprintf("client%zu.outstanding", i), [inst] {
+            return static_cast<double>(inst->outstanding());
+        });
+        sampler.addProbe(strprintf("client%zu.pool_slabs", i), [inst] {
+            return static_cast<double>(inst->requestPoolSlabs());
+        });
+    }
+    if (h.balancer) {
+        const lb::LoadBalancer *bal = h.balancer.get();
+        sampler.addProbe("lb.queue_depth", [bal] {
+            return static_cast<double>(bal->queueDepth());
+        });
+        for (std::uint32_t b = 0; b < h.shards.size(); ++b) {
+            sampler.addProbe(strprintf("backend%u.inflight", b), [bal, b] {
+                return static_cast<double>(bal->inflightOf(b));
+            });
+            const hw::Machine *shard = h.shards[b].machine.get();
+            sampler.addProbe(strprintf("backend%u.worker_utilization", b),
+                             [shard] { return shard->workerUtilization(); });
+        }
+    }
+    h.telemetryTick();
+
+    return [&h](ExperimentResult &result) {
+        result.telemetry = h.sampler.takeSeries();
+    };
 }
 
 } // namespace
+
+double
+deriveRequestRate(const ExperimentParams &params)
+{
+    if (params.requestsPerSecond > 0.0)
+        return params.requestsPerSecond;
+    // Probe the expected per-request service time under this config
+    // by building a scratch front node with the run's placement.
+    sim::Simulation scratch;
+    return rateFor(params, buildNode(scratch, params, -1).serviceSeconds);
+}
 
 ExperimentResult
 runExperiment(const ExperimentParams &params)
@@ -274,333 +655,27 @@ runExperiment(const ExperimentParams &params)
     if (params.tester.clientMachines == 0)
         throw ConfigError("experiment needs at least one client");
 
-    auto h = std::make_unique<Harness>();
-    h->params = params;
-    h->spanRecorder = obs::SpanRecorder(params.trace);
-    h->sampler = obs::TelemetrySampler(params.telemetry);
-
-    h->machine = std::make_unique<hw::Machine>(h->sim, params.machine,
-                                               params.config, params.seed);
-    if (params.kind == WorkloadKind::Memcached) {
-        h->memcached = std::make_unique<server::MemcachedServer>(
-            *h->machine, params.memcachedParams, params.seed);
-    } else {
-        h->mcrouter = std::make_unique<server::McrouterServer>(
-            *h->machine, params.mcrouterParams, params.seed);
-    }
-
-    std::vector<net::Cluster::ClientSpec> clientSpecs(
-        params.tester.clientMachines);
-    if (params.oneRemoteRackClient && !clientSpecs.empty())
-        clientSpecs[0].remoteRack = true;
-    h->cluster = std::make_unique<net::Cluster>(
-        h->sim, params.machine.nicGbps, clientSpecs);
-
+    // Build the topology and put load on it, attaching each optional
+    // module where it wires in. A module that is off is never built:
+    // it costs nothing and moves no byte of the run. This order is the
+    // construction and scheduling order every pinned result rests on.
+    auto h = std::make_unique<Harness>(params);
+    std::vector<Harvest> harvests;
     if (params.cluster.backends > 0)
-        wireClusterTier(h.get());
+        harvests.push_back(attachClusterTier(*h));
+    if (!params.faultPlan.empty())
+        harvests.push_back(attachFaults(*h));
+    h->addLoadTesters();
+    if (params.trace.enabled)
+        harvests.push_back(attachSpans(*h));
+    if (params.telemetry.enabled)
+        harvests.push_back(attachTelemetry(*h));
 
-    if (!params.faultPlan.empty()) {
-        h->faultShim = std::make_unique<server::ServiceFaultShim>(
-            h->sim, h->rawService());
-        h->injector = std::make_unique<fault::FaultInjector>(
-            h->sim, params.faultPlan, params.seed);
-        std::vector<net::Link *> links = h->cluster->allLinks();
-        if (h->fabric) {
-            const std::vector<net::Link *> fabricLinks =
-                h->fabric->allLinks();
-            links.insert(links.end(), fabricLinks.begin(),
-                         fabricLinks.end());
-        }
-        h->injector->attachLinks(links);
-        h->injector->attachShim(*h->faultShim);
-        h->injector->attachNic(h->machine->mutableNic());
-        for (std::size_t b = 0; b < h->backendShims.size(); ++b)
-            h->injector->attachBackendShim(
-                static_cast<std::uint32_t>(b), *h->backendShims[b]);
-        for (std::size_t b = 0; b < h->backendMachines.size(); ++b)
-            h->injector->attachBackendNic(
-                static_cast<std::uint32_t>(b),
-                h->backendMachines[b]->mutableNic());
-        if (h->fabric) {
-            for (std::uint32_t r = 0; r < params.cluster.racks; ++r)
-                h->injector->attachRackLinks(r, h->fabric->rackLinks(r));
-        }
-        h->injector->arm();
-    }
+    h->run();
 
-    const double totalRps = deriveRequestRate(params);
-    const double perClientRps =
-        totalRps / static_cast<double>(params.tester.clientMachines);
-
-    // Estimate the mean response time for closed-loop slot sizing:
-    // expected service + network round trip + client costs.
-    const double estServiceSeconds =
-        h->memcached ? h->memcached->expectedServiceSeconds(
-                           params.workload.valueBytesMean)
-                     : h->mcrouter->expectedServiceSeconds(
-                           params.workload.valueBytesMean);
-    const double estMeanResponseSeconds = estServiceSeconds + 20e-6;
-
-    for (std::size_t i = 0; i < params.tester.clientMachines; ++i) {
-        ClientParams cp;
-        cp.index = i;
-        cp.requestsPerSecond = perClientRps;
-        cp.connections = params.connectionsPerClientMux;
-        cp.loop = params.tester.loop;
-        cp.closedLoopSlots =
-            params.tester.connectionsPerClient > 0
-                ? params.tester.connectionsPerClient
-                : closedLoopConnectionsFor(perClientRps,
-                                           estMeanResponseSeconds);
-        cp.rateLimitedClosedLoop = params.tester.rateLimitedClosedLoop;
-        cp.collector = params.collector;
-        cp.sendCostUs = params.clientSendCostUs;
-        cp.receiveCostUs = params.clientReceiveCostUs;
-        cp.kernelDelayUs = params.clientKernelDelayUs;
-        cp.resilience = params.resilience;
-        cp.recordSpans = params.trace.enabled;
-        cp.seed = params.seed * 1009 + i;
-
-        auto *harness = h.get();
-        auto instance = std::make_unique<LoadTesterInstance>(
-            h->sim, cp, params.workload,
-            [harness, i](server::RequestPtr request) {
-                // Client NIC -> network -> server NIC.
-                net::Packet pkt;
-                pkt.seqId = request->seqId;
-                pkt.connectionId = request->connectionId;
-                pkt.bytes = request->requestBytes;
-                pkt.kind = net::PacketKind::Request;
-                harness->cluster->clientToServer(i).send(
-                    harness->sim, pkt,
-                    [harness, request = std::move(request)](
-                        const net::Packet &arrived) mutable {
-                        harness->capture.onRequest(arrived,
-                                                   harness->sim.now());
-                        request->nicArrival = harness->sim.now();
-                        harness->service().receive(
-                            std::move(request),
-                            [harness](server::RequestPtr resp) {
-                                // Response leaves the server NIC.
-                                net::Packet out;
-                                out.seqId = resp->seqId;
-                                out.connectionId = resp->connectionId;
-                                out.bytes = resp->responseBytes;
-                                out.kind = net::PacketKind::Response;
-                                harness->capture.onResponse(
-                                    out, harness->sim.now());
-                                const auto client = static_cast<
-                                    std::size_t>(resp->clientIndex);
-                                harness->cluster->serverToClient(client)
-                                    .send(harness->sim, out,
-                                          [harness,
-                                           resp = std::move(resp)](
-                                              const net::Packet &) mutable {
-                                              resp->clientNicArrival =
-                                                  harness->sim.now();
-                                              harness
-                                                  ->instances[static_cast<
-                                                      std::size_t>(
-                                                      resp->clientIndex)]
-                                                  ->onResponseDelivered(
-                                                      std::move(resp));
-                                          });
-                            });
-                    });
-            });
-        if (params.trace.enabled) {
-            instance->setSpanSink([harness](const obs::SpanTrace &s) {
-                harness->spanRecorder.record(s);
-            });
-        }
-        h->instances.push_back(std::move(instance));
-    }
-
-    // Size the span buffer up front (headroom for retried/cloned
-    // attempts) so the completion hook never reallocates.
-    const std::size_t expectedResponses =
-        static_cast<std::size_t>(params.tester.clientMachines) *
-            (params.collector.warmUpSamples +
-             params.collector.calibrationSamples +
-             params.collector.measurementSamples) * 5 / 4 +
-        1024;
-    h->spanRecorder.reserveFor(expectedResponses);
-
-    // Completion hook: decompose latency, stop load at per-instance
-    // targets, stop the simulation when every instance is done.
-    for (auto &instance : h->instances) {
-        auto *harness = h.get();
-        instance->setCompletionHook(
-            [harness](const server::RequestPtr &req) {
-                ++harness->responsesCompleted;
-                harness->serverComponentUs.record(
-                    req->serverLatencyUs());
-                harness->networkComponentUs.record(
-                    toMicros((req->nicArrival - req->clientSend) +
-                             (req->clientNicArrival -
-                              req->nicDeparture)));
-                harness->clientComponentUs.record(
-                    toMicros((req->clientSend - req->intendedSend) +
-                             (req->clientReceive -
-                              req->clientNicArrival)));
-                (req->op == server::OpType::Get
-                     ? harness->getLatencyUs
-                     : harness->setLatencyUs)
-                    .record(req->clientLatencyUs());
-
-                bool allDone = true;
-                for (auto &inst : harness->instances) {
-                    if (inst->done())
-                        inst->stopLoad();
-                    else
-                        allDone = false;
-                }
-                if (allDone)
-                    harness->sim.stop();
-            });
-    }
-
-    // Telemetry: register every probe (registration order is the
-    // stable export order), then kick the first tick at t=0. Probes
-    // are plain reads of state the run maintains anyway.
-    if (params.telemetry.enabled) {
-        auto *harness = h.get();
-        harness->sampler.addProbe("sim.event_queue_depth", [harness] {
-            return static_cast<double>(harness->sim.pendingEvents());
-        });
-        harness->sampler.addProbe(
-            "server.worker_utilization", [harness] {
-                return harness->machine->workerUtilization();
-            });
-        for (std::size_t i = 0; i < h->instances.size(); ++i) {
-            LoadTesterInstance *inst = h->instances[i].get();
-            harness->sampler.addProbe(
-                strprintf("client%zu.outstanding", i), [inst] {
-                    return static_cast<double>(inst->outstanding());
-                });
-            harness->sampler.addProbe(
-                strprintf("client%zu.pool_slabs", i), [inst] {
-                    return static_cast<double>(
-                        inst->requestPoolSlabs());
-                });
-        }
-        if (h->balancer) {
-            lb::LoadBalancer *bal = h->balancer.get();
-            harness->sampler.addProbe("lb.queue_depth", [bal] {
-                return static_cast<double>(bal->queueDepth());
-            });
-            for (std::uint32_t b = 0; b < params.cluster.backends;
-                 ++b) {
-                harness->sampler.addProbe(
-                    strprintf("backend%u.inflight", b), [bal, b] {
-                        return static_cast<double>(bal->inflightOf(b));
-                    });
-                hw::Machine *bm = h->backendMachines[b].get();
-                harness->sampler.addProbe(
-                    strprintf("backend%u.worker_utilization", b),
-                    [bm] { return bm->workerUtilization(); });
-            }
-        }
-        h->telemetryTick();
-    }
-
-    for (auto &instance : h->instances)
-        instance->start();
-    h->sim.scheduleAt(params.deadline, [harness = h.get()] {
-        warn("experiment", "hit the simulated-time deadline");
-        harness->deadlineHit = true;
-        harness->sim.stop();
-    });
-    h->sim.run();
-
-    // Harvest results.
-    ExperimentResult result;
-    result.targetRps = totalRps;
-    result.simulatedTime = h->sim.now();
-    result.serverUtilization = h->machine->workerUtilization();
-    result.frequencyTransitions = h->machine->totalFrequencyTransitions();
-    result.achievedRps =
-        h->sim.now() > 0
-            ? static_cast<double>(h->responsesCompleted) /
-                  toSeconds(h->sim.now())
-            : 0.0;
-    result.groundTruthUs = h->capture.latenciesUs();
-    result.deadlineHit = h->deadlineHit;
-
-    // Surface the tcpdump-analogue's diagnostics instead of silently
-    // dropping them. Unmatched responses mean the capture's matching
-    // broke -- always worth a warning. Requests still outstanding at
-    // the end are expected teardown residue (in-flight when the last
-    // collector finished), so they only warrant a warning when the run
-    // was cut short by its deadline.
-    result.captureUnmatchedResponses = h->capture.unmatchedResponses();
-    result.captureOutstanding = h->capture.outstanding();
-    if (result.captureUnmatchedResponses > 0) {
-        warn("capture",
-             strprintf("%llu responses had no matching request",
-                       static_cast<unsigned long long>(
-                           result.captureUnmatchedResponses)));
-    }
-    if (result.captureOutstanding > 0) {
-        const std::string msg = strprintf(
-            "%zu requests still outstanding at experiment end",
-            result.captureOutstanding);
-        if (h->deadlineHit)
-            warn("capture", msg);
-        else
-            inform("capture", msg);
-    }
-
-    result.spans = h->spanRecorder.takeSpans();
-    result.telemetry = h->sampler.takeSeries();
-    if (h->injector)
-        result.faultWindows = h->injector->annotations();
-    result.serverComponentUs = std::move(h->serverComponentUs);
-    result.networkComponentUs = std::move(h->networkComponentUs);
-    result.clientComponentUs = std::move(h->clientComponentUs);
-    result.getLatencyUs = std::move(h->getLatencyUs);
-    result.setLatencyUs = std::move(h->setLatencyUs);
-
-    for (std::size_t i = 0; i < h->instances.size(); ++i) {
-        const LoadTesterInstance &inst = *h->instances[i];
-        InstanceReport report;
-        report.rawSamples = inst.collector().rawSamples();
-        report.measured = inst.collector().measured();
-        report.reachedTarget = inst.done();
-        report.cpuUtilization = inst.cpuUtilization();
-        report.remoteRack = h->cluster->isRemoteRack(i);
-        report.outstandingAtSend = inst.outstandingAtSend();
-        report.trajectory = inst.collector().trajectory();
-        if (report.measured > 0) {
-            for (double q : kQuantileGrid)
-                report.quantiles[q] = inst.collector().quantile(q);
-        }
-        result.instances.push_back(std::move(report));
-    }
-
-    if (h->balancer) {
-        for (std::uint32_t b = 0; b < params.cluster.backends; ++b) {
-            result.backendServed.push_back(
-                h->backendServers[b]->served());
-            result.backendDispatched.push_back(
-                h->balancer->dispatchedTo(b));
-        }
-        result.lbQueued = h->balancer->queued();
-        result.lbUnroutable = h->balancer->unroutable();
-        result.lbFailovers = h->balancer->failovers();
-    }
-
-    // Final gauge values that are only known at harvest time, then a
-    // snapshot of everything the run's components recorded.
-    obs::MetricsRegistry &registry = h->sim.metrics();
-    for (std::size_t i = 0; i < h->instances.size(); ++i) {
-        registry
-            .gauge(strprintf("client%zu.cpu_utilization", i))
-            .set(h->instances[i]->cpuUtilization());
-    }
-    registry.gauge("server.worker_utilization")
-        .set(h->machine->workerUtilization());
-    result.metrics = registry.snapshot();
+    ExperimentResult result = h->harvest();
+    for (const Harvest &harvest : harvests)
+        harvest(result);
     return result;
 }
 

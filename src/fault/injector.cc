@@ -28,64 +28,38 @@ nameKey(const std::string &s)
 } // namespace
 
 FaultInjector::FaultInjector(sim::Simulation &sim_, FaultPlan plan_,
-                             std::uint64_t runSeed)
-    : sim(sim_), plan(std::move(plan_)), seed(runSeed),
+                             std::uint64_t runSeed, FaultHooks hooks_)
+    : sim(sim_), plan(std::move(plan_)), hooks(std::move(hooks_)),
       appliedCounter(sim_.metrics().counter("fault.windows_applied"))
 {
     plan.validate();
-}
-
-void
-FaultInjector::attachLinks(const std::vector<net::Link *> &links)
-{
-    linkHooks = links;
-    const Rng lossRoot = Rng(0xfa017155eedull ^ seed);
-    for (net::Link *link : linkHooks)
+    const Rng lossRoot = Rng(0xfa017155eedull ^ runSeed);
+    for (net::Link *link : hooks.links)
         link->armFaults(lossRoot.substream(nameKey(link->name())));
-}
-
-void
-FaultInjector::attachShim(server::ServiceFaultShim &shim_)
-{
-    shim = &shim_;
-}
-
-void
-FaultInjector::attachNic(hw::Nic &nic_)
-{
-    nic = &nic_;
-}
-
-void
-FaultInjector::attachBackendShim(std::uint32_t backend,
-                                 server::ServiceFaultShim &shim_)
-{
-    backendShims[backend] = &shim_;
-}
-
-void
-FaultInjector::attachBackendNic(std::uint32_t backend, hw::Nic &nic_)
-{
-    backendNics[backend] = &nic_;
-}
-
-void
-FaultInjector::attachRackLinks(std::uint32_t rack,
-                               const std::vector<net::Link *> &links)
-{
-    rackLinkHooks[rack] = links;
+    for (const FaultEvent &ev : plan.events) {
+        for (std::uint32_t k = 0; k < ev.repeatCount; ++k)
+            scheduleWindow(ev, ev.start + k * ev.period);
+    }
 }
 
 std::vector<net::Link *>
 FaultInjector::matchLinks(const std::string &target) const
 {
     std::vector<net::Link *> matched;
-    for (net::Link *link : linkHooks) {
+    for (net::Link *link : hooks.links) {
         if (target.empty() ||
             link->name().find(target) != std::string::npos)
             matched.push_back(link);
     }
     return matched;
+}
+
+FaultHooks::Node
+FaultInjector::nodeHooks(int backend) const
+{
+    const auto slot = static_cast<std::size_t>(backend + 1);
+    return backend >= -1 && slot < hooks.nodes.size() ? hooks.nodes[slot]
+                                                       : FaultHooks::Node{};
 }
 
 void
@@ -100,23 +74,6 @@ FaultInjector::scheduleWindow(const FaultEvent &ev, SimTime start)
     if (ev.kind == FaultKind::TorOutage)
         label += strprintf("[rack%u]", ev.rack);
     windows.push_back({label, start, end});
-
-    // Server faults resolve their hook by backend id: -1 is the
-    // classic front-server shim/NIC, >= 0 a cluster shard's.
-    const auto shimFor = [&]() -> server::ServiceFaultShim * {
-        if (ev.backend < 0)
-            return shim;
-        const auto it =
-            backendShims.find(static_cast<std::uint32_t>(ev.backend));
-        return it != backendShims.end() ? it->second : nullptr;
-    };
-    const auto nicFor = [&]() -> hw::Nic * {
-        if (ev.backend < 0)
-            return nic;
-        const auto it =
-            backendNics.find(static_cast<std::uint32_t>(ev.backend));
-        return it != backendNics.end() ? it->second : nullptr;
-    };
 
     const auto applied = [this] {
         ++appliedCount;
@@ -167,7 +124,7 @@ FaultInjector::scheduleWindow(const FaultEvent &ev, SimTime start)
         break;
       }
       case FaultKind::ServerStall: {
-        server::ServiceFaultShim *target = shimFor();
+        server::ServiceFaultShim *target = nodeHooks(ev.backend).shim;
         if (target == nullptr)
             throw ConfigError(strprintf(
                 "server_stall fault (backend %d) needs an attached "
@@ -180,7 +137,7 @@ FaultInjector::scheduleWindow(const FaultEvent &ev, SimTime start)
         break;
       }
       case FaultKind::ServerCrash: {
-        server::ServiceFaultShim *target = shimFor();
+        server::ServiceFaultShim *target = nodeHooks(ev.backend).shim;
         if (target == nullptr)
             throw ConfigError(strprintf(
                 "server_crash fault (backend %d) needs an attached "
@@ -197,7 +154,7 @@ FaultInjector::scheduleWindow(const FaultEvent &ev, SimTime start)
         break;
       }
       case FaultKind::NicInterruptStorm: {
-        hw::Nic *target = nicFor();
+        hw::Nic *target = nodeHooks(ev.backend).nic;
         if (target == nullptr)
             throw ConfigError(strprintf(
                 "nic_storm fault (backend %d) needs an attached "
@@ -213,8 +170,7 @@ FaultInjector::scheduleWindow(const FaultEvent &ev, SimTime start)
         break;
       }
       case FaultKind::TorOutage: {
-        const auto it = rackLinkHooks.find(ev.rack);
-        if (it == rackLinkHooks.end() || it->second.empty())
+        if (ev.rack >= hooks.racks.size() || hooks.racks[ev.rack].empty())
             throw ConfigError(strprintf(
                 "tor_outage fault targets rack %u but no rack links "
                 "are attached",
@@ -222,7 +178,7 @@ FaultInjector::scheduleWindow(const FaultEvent &ev, SimTime start)
         // One switch failing over degrades every link behind it in
         // the same instant -- the correlated version of link_degrade
         // plus link_loss.
-        const std::vector<net::Link *> links = it->second;
+        const std::vector<net::Link *> links = hooks.racks[ev.rack];
         const double bw = ev.bandwidthFactor;
         const SimDuration extra = ev.extraLatency;
         const double p = ev.lossProbability;
@@ -243,15 +199,6 @@ FaultInjector::scheduleWindow(const FaultEvent &ev, SimTime start)
         });
         break;
       }
-    }
-}
-
-void
-FaultInjector::arm()
-{
-    for (const FaultEvent &ev : plan.events) {
-        for (std::uint32_t k = 0; k < ev.repeatCount; ++k)
-            scheduleWindow(ev, ev.start + k * ev.period);
     }
 }
 

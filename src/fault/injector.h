@@ -1,7 +1,8 @@
 /**
  * @file
  * The fault injector: turns a declarative FaultPlan into scheduled
- * apply/revert events against the run's hook points.
+ * apply/revert events against the run's hook points (a FaultHooks
+ * table, handed over once at construction).
  *
  * The injector owns no fault behaviour itself -- links drop and delay
  * packets, the server shim stalls and crashes, the NIC scales its
@@ -11,8 +12,8 @@
  * every window as a TraceAnnotation so exported traces show exactly
  * when each fault was active.
  *
- * Determinism: all apply/revert events are scheduled up front during
- * arm(), before the run starts, so their EventQueue insertion order --
+ * Determinism: the constructor schedules every apply/revert event up
+ * front, before the run starts, so their EventQueue insertion order --
  * and therefore the same-instant tie-break order -- is a pure function
  * of the plan. Loss randomness is a per-link Rng derived from the run
  * seed and the link's name, never from shared global state, so faulted
@@ -23,7 +24,6 @@
 #define TREADMILL_FAULT_INJECTOR_H_
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "fault/plan.h"
@@ -37,59 +37,46 @@
 namespace treadmill {
 namespace fault {
 
-/** Schedules a FaultPlan's windows against attached hook points. */
+/** Every hook point a plan's events can act on, handed over once. */
+struct FaultHooks {
+    /** One server node's hooks. */
+    struct Node {
+        server::ServiceFaultShim *shim = nullptr; ///< Stall / crash.
+        hw::Nic *nic = nullptr;                   ///< nic_storm.
+    };
+
+    /** Link-fault targets, matched by name; each gets its loss stream
+     *  at construction. */
+    std::vector<net::Link *> links;
+    /** Indexed by the event's backend id + 1: entry 0 is the front
+     *  server (backend -1), entry b + 1 cluster shard b. */
+    std::vector<Node> nodes;
+    /** Indexed by rack id: the links a tor_outage degrades together
+     *  (each must also appear in `links`). */
+    std::vector<std::vector<net::Link *>> racks;
+};
+
+/** Schedules a FaultPlan's windows against its hook points. */
 class FaultInjector
 {
   public:
     /**
+     * Expand the plan into concrete windows and schedule every apply
+     * and revert instant; construct once, before the simulation runs.
+     *
      * @param sim Owning simulation (all windows schedule here).
      * @param plan The validated fault schedule (copied).
      * @param runSeed Run identity; seeds per-link loss streams.
+     * @param hooks The run's hook points.
+     * @throws ConfigError when a window names a hook point the table
+     *         lacks (a silently ignored fault would invalidate the
+     *         experiment's factor levels).
      */
     FaultInjector(sim::Simulation &sim, FaultPlan plan,
-                  std::uint64_t runSeed);
+                  std::uint64_t runSeed, FaultHooks hooks);
 
     FaultInjector(const FaultInjector &) = delete;
     FaultInjector &operator=(const FaultInjector &) = delete;
-
-    /** @name Hook-point attachment (before arm())
-     * @{
-     */
-    /** Attach the cluster's links for LinkLoss/LinkDegrade targeting. */
-    void attachLinks(const std::vector<net::Link *> &links);
-
-    /** Attach the server shim for ServerStall/ServerCrash events. */
-    void attachShim(server::ServiceFaultShim &shim);
-
-    /** Attach the server NIC for NicInterruptStorm events. */
-    void attachNic(hw::Nic &nic);
-
-    /** Attach backend @p backend's shim: the hook for server faults
-     *  whose event names that backend id. */
-    void attachBackendShim(std::uint32_t backend,
-                           server::ServiceFaultShim &shim);
-
-    /** Attach backend @p backend's machine NIC for per-backend
-     *  nic_storm events. */
-    void attachBackendNic(std::uint32_t backend, hw::Nic &nic);
-
-    /**
-     * Attach rack @p rack's link set: the TorOutage blast radius.
-     * The links must also appear in an attachLinks() call (that is
-     * where their loss streams are armed).
-     */
-    void attachRackLinks(std::uint32_t rack,
-                         const std::vector<net::Link *> &links);
-    /** @} */
-
-    /**
-     * Expand the plan into concrete windows and schedule every apply
-     * and revert instant. Call once, after attachment and before the
-     * simulation runs. Windows naming a hook point that was never
-     * attached throw ConfigError (a silently ignored fault would
-     * invalidate the experiment's factor levels).
-     */
-    void arm();
 
     /** Concrete windows, one annotation per applied window. */
     const std::vector<obs::TraceAnnotation> &annotations() const
@@ -104,19 +91,16 @@ class FaultInjector
     /** Links whose name contains @p target (all links when empty). */
     std::vector<net::Link *> matchLinks(const std::string &target) const;
 
+    /** The hooks of the node @p backend names (-1: the front server);
+     *  both null when the table has no such node. */
+    FaultHooks::Node nodeHooks(int backend) const;
+
     /** Schedule one concrete window of @p ev at [start, start+dur). */
     void scheduleWindow(const FaultEvent &ev, SimTime start);
 
     sim::Simulation &sim;
     FaultPlan plan;
-    std::uint64_t seed;
-
-    std::vector<net::Link *> linkHooks;
-    server::ServiceFaultShim *shim = nullptr;
-    hw::Nic *nic = nullptr;
-    std::map<std::uint32_t, server::ServiceFaultShim *> backendShims;
-    std::map<std::uint32_t, hw::Nic *> backendNics;
-    std::map<std::uint32_t, std::vector<net::Link *>> rackLinkHooks;
+    FaultHooks hooks;
 
     std::vector<obs::TraceAnnotation> windows;
     std::uint64_t appliedCount = 0;

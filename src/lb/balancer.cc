@@ -43,7 +43,7 @@ LoadBalancer::LoadBalancer(sim::Simulation &sim_,
       queueWaitHist(sim_.metrics().histogram("lb.queue_wait_us"))
 {
     sim.metrics().claimScope("lb");
-    hooks.reserve(params.backends);
+    backends.reserve(params.backends);
     backendDispatched.reserve(params.backends);
     backendInflight.reserve(params.backends);
     for (std::uint32_t b = 0; b < params.backends; ++b) {
@@ -59,20 +59,11 @@ LoadBalancer::LoadBalancer(sim::Simulation &sim_,
 }
 
 void
-LoadBalancer::addBackend(Backend backend)
+LoadBalancer::addBackend(server::Service &backend)
 {
-    if (hooks.size() >= params.backends)
+    if (backends.size() >= params.backends)
         throw ConfigError("more backends attached than configured");
-    if (!backend.forward)
-        throw ConfigError("backend needs a forward hook");
-    hooks.push_back(std::move(backend));
-}
-
-bool
-LoadBalancer::backendHealthy(std::uint32_t b) const
-{
-    const auto &probe = hooks[b].healthy;
-    return !probe || probe();
+    backends.push_back(&backend);
 }
 
 // tmlint:hot-path-begin -- receive/dispatch/drainQueue run once per
@@ -81,14 +72,14 @@ void
 LoadBalancer::receive(server::RequestPtr request,
                       server::RespondFn respond)
 {
-    TM_ASSERT(hooks.size() == params.backends,
+    TM_ASSERT(backends.size() == params.backends,
               "balancer used before all backends attached");
     request->lbArrival = sim.now();
     ring.replicas(HashRing::hashKey(request->key), params.replication,
                   scratchReplicas);
     scratchHealthy.clear();
     for (std::uint32_t b : scratchReplicas) {
-        if (backendHealthy(b))
+        if (backends[b]->up())
             scratchHealthy.push_back(b);
     }
     if (scratchHealthy.empty()) {
@@ -166,8 +157,7 @@ LoadBalancer::dispatch(std::uint32_t b, server::RequestPtr request,
     backendInflight[b]->set(static_cast<double>(inflight[b]));
     request->backendId = static_cast<std::int32_t>(b);
     request->lbDispatch = sim.now();
-    auto &hook = hooks[b];
-    hook.forward(
+    backends[b]->receive(
         std::move(request),
         [this, b, respond = std::move(respond)](
             server::RequestPtr response) {
@@ -193,7 +183,7 @@ LoadBalancer::drainQueue()
         QueuedRequest &head = headIt->second;
         scratchFree.clear();
         for (std::uint32_t b : head.candidates) {
-            if (backendHealthy(b) &&
+            if (backends[b]->up() &&
                 (params.maxInflightPerBackend == 0 ||
                  inflight[b] < params.maxInflightPerBackend))
                 scratchFree.push_back(b);

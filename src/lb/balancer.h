@@ -14,8 +14,8 @@
  * got slow".
  *
  * The balancer never touches packets or machines itself: each backend
- * is an opaque forward callback (typically: uplink -> backend service
- * -> downlink) plus an optional health probe, so the lb module stays
+ * is an opaque server::Service (typically: uplink -> shard service ->
+ * downlink) whose up() is the health probe, so the lb module stays
  * below core in the layering DAG and is unit-testable with synthetic
  * backends.
  */
@@ -24,7 +24,6 @@
 #define TREADMILL_LB_BALANCER_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -58,25 +57,16 @@ struct BalancerParams {
 class LoadBalancer : public server::Service
 {
   public:
-    /** One attached backend shard. */
-    struct Backend {
-        /** Ship a request to the shard and eventually invoke the
-         *  response callback (wire + service path). */
-        std::function<void(server::RequestPtr, server::RespondFn)>
-            forward;
-        /** Liveness probe consulted at dispatch time; an empty
-         *  function means always healthy. */
-        std::function<bool()> healthy;
-    };
-
     LoadBalancer(sim::Simulation &sim, const BalancerParams &params);
 
     LoadBalancer(const LoadBalancer &) = delete;
     LoadBalancer &operator=(const LoadBalancer &) = delete;
 
     /** Attach the next backend (ids assigned 0.. in call order);
-     *  exactly params.backends calls, before the first receive(). */
-    void addBackend(Backend backend);
+     *  exactly params.backends calls, before the first receive().
+     *  @p backend must outlive the balancer; its up() is consulted
+     *  at every dispatch. */
+    void addBackend(server::Service &backend);
 
     /**
      * Route @p request: ring lookup, replica walk, health filter,
@@ -91,7 +81,6 @@ class LoadBalancer : public server::Service
      * @{
      */
     const HashRing &hashRing() const { return ring; }
-    std::uint32_t backendCount() const { return params.backends; }
     std::uint64_t inflightOf(std::uint32_t b) const
     {
         return inflight[b];
@@ -108,10 +97,6 @@ class LoadBalancer : public server::Service
     std::uint64_t unroutable() const { return unroutableCount; }
     /** Requests routed past a down primary to a later replica. */
     std::uint64_t failovers() const { return failoverCount; }
-    const SchedulingPolicy &schedulingPolicy() const
-    {
-        return *policy;
-    }
     /** @} */
 
   private:
@@ -122,9 +107,6 @@ class LoadBalancer : public server::Service
         /** Healthy replicas at enqueue time (re-filtered at pop). */
         std::vector<std::uint32_t> candidates;
     };
-
-    /** True when @p b answers its health probe. */
-    bool backendHealthy(std::uint32_t b) const;
 
     /** Hand @p request to backend @p b and arm the completion path. */
     void dispatch(std::uint32_t b, server::RequestPtr request,
@@ -137,7 +119,7 @@ class LoadBalancer : public server::Service
     BalancerParams params;
     HashRing ring;
     std::unique_ptr<SchedulingPolicy> policy;
-    std::vector<Backend> hooks;
+    std::vector<server::Service *> backends;
 
     std::vector<std::uint64_t> inflight;      ///< Per backend.
     std::vector<std::uint64_t> dispatchCount; ///< Per backend.

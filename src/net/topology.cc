@@ -163,13 +163,6 @@ ShardFabric::fromBackend(std::size_t i) const
     return reverse[i];
 }
 
-std::uint32_t
-ShardFabric::rackOf(std::size_t i) const
-{
-    TM_ASSERT(i < racks.size(), "backend index out of range");
-    return racks[i];
-}
-
 std::vector<Link *>
 ShardFabric::allLinks()
 {
@@ -191,13 +184,6 @@ ShardFabric::rackLinks(std::uint32_t rack)
         }
     }
     return links;
-}
-
-std::vector<Link *>
-ShardFabric::backendLinks(std::size_t i)
-{
-    TM_ASSERT(i < racks.size(), "backend index out of range");
-    return {ownedLinks[2 * i].get(), ownedLinks[2 * i + 1].get()};
 }
 
 } // namespace net

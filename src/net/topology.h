@@ -156,25 +156,17 @@ class ShardFabric
     ShardFabric(const ShardFabric &) = delete;
     ShardFabric &operator=(const ShardFabric &) = delete;
 
-    std::size_t backendCount() const { return forward.size(); }
-
     /** Path from the router tier to backend @p i. */
     const Path &toBackend(std::size_t i) const;
 
     /** Path from backend @p i back to the router tier. */
     const Path &fromBackend(std::size_t i) const;
 
-    /** Rack housing backend @p i. */
-    std::uint32_t rackOf(std::size_t i) const;
-
     /** Every fabric link, for fault-injector name targeting. */
     std::vector<Link *> allLinks();
 
     /** Both links of every backend on @p rack (a ToR blast radius). */
     std::vector<Link *> rackLinks(std::uint32_t rack);
-
-    /** Both links of backend @p i (a per-backend NIC fault target). */
-    std::vector<Link *> backendLinks(std::size_t i);
 
   private:
     std::vector<std::unique_ptr<Link>> ownedLinks;

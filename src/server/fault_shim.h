@@ -60,6 +60,9 @@ class ServiceFaultShim : public Service
      */
     void receive(RequestPtr request, RespondFn respond) override;
 
+    /** Down exactly while crashed. */
+    bool up() const override { return !crashed(); }
+
     /** @name Injector hooks
      * @{
      */

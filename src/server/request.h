@@ -153,6 +153,10 @@ class Service
      * (nicDeparture stamped).
      */
     virtual void receive(RequestPtr request, RespondFn respond) = 0;
+
+    /** False while the service cannot answer (crashed); a balancer
+     *  routes around a down backend. */
+    virtual bool up() const { return true; }
 };
 
 } // namespace server

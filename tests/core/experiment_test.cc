@@ -9,6 +9,8 @@
 #include <string>
 
 #include "fault/plan.h"
+#include "obs/span.h"
+#include "obs/telemetry.h"
 #include "stats/summary.h"
 #include "util/checksum.h"
 
@@ -100,6 +102,34 @@ resultBytes(const ExperimentResult &r)
     return out;
 }
 
+/** resultBytes() plus the optional modules' outputs: fault windows,
+ *  the span export and the telemetry CSV. */
+std::string
+wiringBytes(const ExperimentResult &r)
+{
+    std::string out = resultBytes(r);
+    for (const obs::TraceAnnotation &w : r.faultWindows) {
+        out += w.name;
+        appendExact(out, static_cast<std::uint64_t>(w.start));
+        appendExact(out, static_cast<std::uint64_t>(w.end));
+    }
+    out += '|';
+    out += obs::spanJson(r.spans);
+    out += '|';
+    out += obs::telemetryCsv(r.telemetry);
+    return out;
+}
+
+fault::FaultEvent
+faultAt(fault::FaultKind kind, SimTime start, SimDuration duration)
+{
+    fault::FaultEvent ev;
+    ev.kind = kind;
+    ev.start = start;
+    ev.duration = duration;
+    return ev;
+}
+
 TEST(ExperimentTest, ResultBytesArePinned)
 {
     // The simulator's event order is its output: any change to which
@@ -153,6 +183,90 @@ TEST(ExperimentTest, ResultBytesArePinned)
     EXPECT_GT(counters.at("sim.events_cancelled").asNumber(), 0.0);
     EXPECT_GT(cluster.lbQueued, 0u);
     EXPECT_EQ(fnv1a64(resultBytes(cluster)), 0x91e17854727889e6ull);
+
+    // Classic Memcached with retries and a front-server fault plan:
+    // the front shim (crash + warm-up), the front NIC, one client's
+    // links and every link are all hook points.
+    auto faulted = quickParams(0.6);
+    faulted.resilience.enabled = true;
+    faulted.resilience.timeoutUs = 1500.0;
+    faulted.resilience.maxRetries = 2;
+    auto crash = faultAt(fault::FaultKind::ServerCrash, milliseconds(3),
+                         microseconds(800));
+    crash.warmup = milliseconds(1);
+    crash.warmupPenalty = microseconds(150);
+    faulted.faultPlan.events.push_back(crash);
+    auto storm = faultAt(fault::FaultKind::NicInterruptStorm,
+                         milliseconds(6), milliseconds(2));
+    storm.irqCostFactor = 8.0;
+    faulted.faultPlan.events.push_back(storm);
+    auto loss = faultAt(fault::FaultKind::LinkLoss, milliseconds(1),
+                        milliseconds(4));
+    loss.target = "client0";
+    loss.lossProbability = 0.2;
+    faulted.faultPlan.events.push_back(loss);
+    auto degrade = faultAt(fault::FaultKind::LinkDegrade,
+                           milliseconds(9), milliseconds(2));
+    degrade.bandwidthFactor = 0.5;
+    degrade.extraLatency = microseconds(60);
+    faulted.faultPlan.events.push_back(degrade);
+    const auto faultedRun = runExperiment(faulted);
+    EXPECT_GT(faultedRun.metrics.at("counters")
+                  .at("sim.events.client.retry")
+                  .asNumber(),
+              0.0);
+    EXPECT_EQ(faultedRun.faultWindows.size(), 5u);
+    EXPECT_EQ(fnv1a64(wiringBytes(faultedRun)), 0xa068364e314d9b69ull);
+
+    // Classic mcrouter on its modelled lognormal backend.
+    auto router = quickParams(0.5);
+    router.kind = WorkloadKind::Mcrouter;
+    const auto routerRun = runExperiment(router);
+    EXPECT_EQ(fnv1a64(wiringBytes(routerRun)), 0x774d276508140bb6ull);
+
+    // 4 shards on 2 racks, replication 2, spans and telemetry on: a
+    // ToR outage on rack 1, a crashed shard 1 (its keys fail over)
+    // and an interrupt storm on shard 3's NIC.
+    ExperimentParams racked;
+    racked.kind = WorkloadKind::Mcrouter;
+    racked.targetUtilization = 0.5;
+    racked.collector.warmUpSamples = 100;
+    racked.collector.calibrationSamples = 100;
+    racked.collector.measurementSamples = 800;
+    racked.seed = 31;
+    racked.deadline = seconds(2);
+    racked.cluster.backends = 4;
+    racked.cluster.racks = 2;
+    racked.cluster.replication = 2;
+    racked.trace.enabled = true;
+    racked.telemetry.enabled = true;
+    racked.telemetry.periodUs = 500.0;
+    auto tor = faultAt(fault::FaultKind::TorOutage, milliseconds(2),
+                       milliseconds(3));
+    tor.rack = 1;
+    tor.bandwidthFactor = 0.3;
+    tor.extraLatency = microseconds(100);
+    tor.lossProbability = 0.05;
+    racked.faultPlan.events.push_back(tor);
+    auto shardCrash = faultAt(fault::FaultKind::ServerCrash,
+                              milliseconds(1), milliseconds(6));
+    shardCrash.backend = 1;
+    racked.faultPlan.events.push_back(shardCrash);
+    auto shardStorm = faultAt(fault::FaultKind::NicInterruptStorm,
+                              milliseconds(4), milliseconds(3));
+    shardStorm.backend = 3;
+    shardStorm.irqCostFactor = 10.0;
+    racked.faultPlan.events.push_back(shardStorm);
+    const auto rackedRun = runExperiment(racked);
+    EXPECT_GT(rackedRun.lbFailovers, 0u);
+    EXPECT_FALSE(rackedRun.spans.empty());
+    EXPECT_GT(rackedRun.telemetry.ticks(), 0u);
+    EXPECT_EQ(fnv1a64(wiringBytes(rackedRun)), 0xcbb8f67a78f010f8ull);
+
+    // The run's rate is the one deriveRequestRate() reports, to the bit.
+    EXPECT_EQ(memcached.targetRps, deriveRequestRate(hwOn));
+    EXPECT_EQ(routerRun.targetRps, deriveRequestRate(router));
+    EXPECT_EQ(rackedRun.targetRps, deriveRequestRate(racked));
 
     // Event counters register on first use: a run whose resilience
     // policy is off never creates the client timeout/retry/hedge keys.

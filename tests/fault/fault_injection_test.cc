@@ -77,10 +77,15 @@ TEST(FaultShimTest, CrashDropsRequestsUntilRestart)
     const auto respond = [&](const server::RequestPtr &) {
         ++responses;
     };
+    // up() is what a balancer reads: down exactly while crashed.
+    EXPECT_FALSE(shim.up());
+    EXPECT_TRUE(inner.up());
     sim.schedule(microseconds(50),
                  [&] { shim.receive(makeRequest(), respond); });
-    sim.schedule(microseconds(150),
-                 [&] { shim.receive(makeRequest(), respond); });
+    sim.schedule(microseconds(150), [&] {
+        EXPECT_TRUE(shim.up());
+        shim.receive(makeRequest(), respond);
+    });
     sim.runUntil(milliseconds(1));
 
     // The mid-crash request is silently dropped, never answered.
@@ -131,9 +136,9 @@ TEST(FaultInjectorTest, ExpandsRepeatsIntoAnnotatedWindows)
     ev.repeatCount = 3;
     plan.events.push_back(ev);
 
-    FaultInjector injector(sim, plan, 7);
-    injector.attachShim(shim);
-    injector.arm();
+    FaultHooks hooks;
+    hooks.nodes.push_back({&shim, nullptr});
+    FaultInjector injector(sim, plan, 7, hooks);
 
     ASSERT_EQ(injector.annotations().size(), 3u);
     EXPECT_EQ(injector.annotations()[0].start, milliseconds(1));
@@ -157,8 +162,7 @@ TEST(FaultInjectorTest, ServerEventWithoutShimThrows)
     ev.duration = milliseconds(1);
     plan.events.push_back(ev);
 
-    FaultInjector injector(sim, plan, 1);
-    EXPECT_THROW(injector.arm(), ConfigError);
+    EXPECT_THROW(FaultInjector(sim, plan, 1, FaultHooks{}), ConfigError);
 }
 
 // ---------------------------------------------------------------------

@@ -20,25 +20,22 @@ namespace {
 
 /** One synthetic backend: logs arrivals, answers after a fixed
  *  delay, and can be switched dead at any time. */
-struct FakeBackend {
+struct FakeBackend : server::Service {
     sim::Simulation *sim = nullptr;
     SimDuration serviceTime = 0;
     bool alive = true;
     std::vector<std::uint64_t> servedSeqIds;
 
-    LoadBalancer::Backend
-    hook()
+    void
+    receive(server::RequestPtr req, server::RespondFn respond) override
     {
-        return LoadBalancer::Backend{
-            [this](server::RequestPtr req, server::RespondFn respond) {
-                servedSeqIds.push_back(req->seqId);
-                sim->schedule(serviceTime,
-                              [req, respond = std::move(respond)] {
-                                  respond(req);
-                              });
-            },
-            [this] { return alive; }};
+        servedSeqIds.push_back(req->seqId);
+        sim->schedule(serviceTime, [req, respond = std::move(respond)] {
+            respond(req);
+        });
     }
+
+    bool up() const override { return alive; }
 };
 
 /** A balancer wired to @p n fake backends answering after @p delay. */
@@ -54,7 +51,7 @@ struct Cluster {
             auto backend = std::make_unique<FakeBackend>();
             backend->sim = &sim;
             backend->serviceTime = delay;
-            balancer->addBackend(backend->hook());
+            balancer->addBackend(*backend);
             backends.push_back(std::move(backend));
         }
     }
@@ -113,12 +110,10 @@ TEST(BalancerTest, RejectsOverAttachingBackends)
 {
     sim::Simulation sim;
     LoadBalancer balancer(sim, smallCluster(1));
-    balancer.addBackend(
-        {[](server::RequestPtr, server::RespondFn) {}, nullptr});
-    EXPECT_THROW(balancer.addBackend({[](server::RequestPtr,
-                                         server::RespondFn) {},
-                                      nullptr}),
-                 ConfigError);
+    FakeBackend first;
+    FakeBackend second;
+    balancer.addBackend(first);
+    EXPECT_THROW(balancer.addBackend(second), ConfigError);
 }
 
 TEST(BalancerTest, MetricScopeIsClaimedOncePerSimulation)
